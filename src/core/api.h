@@ -8,8 +8,8 @@
 //                scheme, fault injection, workload shape, seed and
 //                stream count (core/scenario.h).  streams(K) partitions
 //                a Monte-Carlo cell's sample budget into K deterministic
-//                RNG sub-streams (derive_stream_seed) that simulate on
-//                the cell's intra-cell thread pool and merge in fixed
+//                RNG sub-streams (derive_stream_seed) that run as tasks
+//                of the worker's StreamPool and merge in fixed
 //                stream order - for a given K the result is a pure
 //                function of the scenario, independent of thread count
 //                and lane; K=1 (default) is the exact sequential path;
@@ -44,15 +44,15 @@
 //                re-admission of lost workers - shared by every lane
 //                kind, so forked workers get stealing and adaptive
 //                batching exactly as cluster workers do;
-//   EvalContext  the ambient per-evaluation thread budget
-//                (core/eval_context.h): lanes install it around their
-//                serve loops (DispatchOptions::eval_threads, adaptive by
-//                default - a lane raising fewer workers than its
-//                configured parallelism hands the spare threads to each
-//                worker's intra-cell stream pool), worker daemons set it
-//                from --eval-threads, and the Monte-Carlo backends read
-//                it to size their stream pools - it bounds resources
-//                only and never changes output;
+//   EvalContext  the ambient StreamPool a cell may hand its streams to
+//                (core/eval_context.h).  A ThreadLane's worker threads
+//                are one pool: a cell runs on its own thread plus every
+//                worker with no frame pending, so one cell on
+//                --threads=4 runs 4-way with no extra thread.  A ForkLane
+//                child owns (workers / children raised - 1) helper
+//                threads and a sweep_workerd session (--eval-threads - 1);
+//                with no pool installed streams run in order.  The pool
+//                bounds resources only and never changes output;
 //   EvalPlan     a sweep cell's evaluation recipe as data - which
 //                backends to run and how to merge their metrics - so a
 //                cell can ship to a worker daemon that has no access to

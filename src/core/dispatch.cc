@@ -106,7 +106,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
   std::vector<LaneWorker*> workers;
   for (Lane* lane : lanes_) {
     try {
-      lane->start(cells.size(), cell_fn, options_.eval_threads, &workers);
+      lane->start(cells.size(), cell_fn, &workers);
     } catch (...) {
       for (Lane* started : lanes_) {
         started->finish();

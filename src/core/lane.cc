@@ -1,5 +1,6 @@
 #include "core/lane.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -136,22 +137,35 @@ namespace {
 // the batch, evaluate every cell through cell_fn, answer with one
 // kFrameResultBatch.  Exactly this loop runs inside a ThreadLane worker
 // thread and inside a ForkLane child process - from the dispatch loop's
-// point of view the two are indistinguishable.  eval_threads is installed
-// as the worker's ambient EvalContext for the whole session, so every
-// cell_fn invocation sees the lane's intra-cell thread budget.  Returns
-// true on clean EOF, false on a corrupt or out-of-protocol request
-// stream.
-bool serve_cells(FrameChannel& ch, const CellFn& cell_fn,
-                 std::size_t eval_threads) {
-  EvalContextScope scope(EvalContext{std::max<std::size_t>(eval_threads, 1)});
+// point of view the two are indistinguishable.  `pool` is installed as
+// the worker's ambient EvalContext, so every cell_fn invocation can hand
+// its streams to the pool; between frames the loop waits on the channel
+// and the pool's wake fd together and, when no frame is pending, runs a
+// stream another worker's cell published.  Returns true on clean EOF,
+// false on a corrupt or out-of-protocol request stream.
+bool serve_cells(FrameChannel& ch, const CellFn& cell_fn, StreamPool& pool) {
+  EvalContextScope scope(EvalContext{&pool});
+  pollfd fds[2] = {{ch.fd(), POLLIN, 0}, {pool.wake_fd(), POLLIN, 0}};
   for (;;) {
     wire::Frame frame;
+    bool have_frame = false;
     try {
-      if (!ch.recv(&frame)) {
-        return true;  // coordinator closed the channel: done
-      }
+      have_frame = ch.pop(&frame);
     } catch (const wire::Error&) {
       return false;
+    }
+    if (!have_frame) {
+      if (io::poll_retry(fds, 2, -1) < 0) {
+        return false;
+      }
+      if (fds[0].revents != 0) {
+        if (!ch.fill()) {
+          return true;  // coordinator closed the channel: done
+        }
+      } else if (fds[1].revents != 0) {
+        pool.help();
+      }
+      continue;
     }
     if (frame.type != kFrameCellBatch) {
       return false;
@@ -177,26 +191,6 @@ bool serve_cells(FrameChannel& ch, const CellFn& cell_fn,
   }
 }
 
-// How many workers a lane actually raises for a sweep of `cell_count`
-// cells: never more workers than cells, never zero.
-std::size_t clamp_workers(std::size_t configured, std::size_t cell_count) {
-  return std::min(configured, std::max<std::size_t>(cell_count, 1));
-}
-
-// The per-worker intra-cell thread budget.  requested != 0 is an explicit
-// budget passed through verbatim; 0 is adaptive - redistribute the lane's
-// configured parallelism over the workers actually raised, so clamping
-// the worker count to a small cell count hands the freed threads to the
-// surviving workers' stream pools instead of idling them.
-std::size_t worker_eval_threads(std::size_t requested, std::size_t configured,
-                                std::size_t raised) {
-  if (requested != 0) {
-    return requested;
-  }
-  return std::max<std::size_t>(configured / std::max<std::size_t>(raised, 1),
-                               1);
-}
-
 }  // namespace
 
 // --- ThreadLane --------------------------------------------------------------
@@ -220,13 +214,15 @@ ThreadLane::ThreadLane(std::size_t threads)
 
 ThreadLane::~ThreadLane() { finish(); }
 
-void ThreadLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                       std::size_t eval_threads,
+// Every thread is raised even for fewer cells than threads: a worker the
+// dispatch loop never feeds still serves the pool, so a lone Monte-Carlo
+// cell gets the whole lane for its streams.
+void ThreadLane::start(std::size_t /*cell_count*/, const CellFn& cell_fn,
                        std::vector<LaneWorker*>* out) {
   finish();
-  const std::size_t count = clamp_workers(threads_, cell_count);
-  const std::size_t budget = worker_eval_threads(eval_threads, threads_, count);
-  for (std::size_t i = 0; i < count; ++i) {
+  pool_ = std::make_unique<StreamPool>();
+  StreamPool& pool = *pool_;
+  for (std::size_t i = 0; i < threads_; ++i) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
       finish();
@@ -235,9 +231,9 @@ void ThreadLane::start(std::size_t cell_count, const CellFn& cell_fn,
     auto worker = std::make_unique<Worker>(i);
     worker->channel_ = FrameChannel(sv[0]);
     const int serve_fd = sv[1];
-    worker->thread_ = std::thread([serve_fd, &cell_fn, budget]() {
+    worker->thread_ = std::thread([serve_fd, &cell_fn, &pool]() {
       FrameChannel ch(serve_fd);
-      serve_cells(ch, cell_fn, budget);
+      serve_cells(ch, cell_fn, pool);
     });
     out->push_back(worker.get());
     workers_.push_back(std::move(worker));
@@ -253,6 +249,7 @@ void ThreadLane::finish() {
     }
   }
   workers_.clear();
+  pool_.reset();  // no member is left to poll it
 }
 
 // --- ForkLane ----------------------------------------------------------------
@@ -332,8 +329,17 @@ bool ForkLane::spawn(Worker& worker) {
   }
   if (pid == 0) {
     close_other_fds(sv[1]);
-    FrameChannel ch(sv[1]);
-    const bool clean = serve_cells(ch, *cell_fn_, worker_eval_threads_);
+    // The child's stream pool lives as long as the child; its helpers are
+    // joined before _exit.  Nothing may unwind out of the child into the
+    // parent's stack frames, so a pool that cannot start ends it too.
+    bool clean = false;
+    try {
+      FrameChannel ch(sv[1]);
+      StreamPool pool(child_threads_ - 1);
+      clean = serve_cells(ch, *cell_fn_, pool);
+    } catch (...) {
+      // clean stays false: the child exits 1 and is respawned
+    }
     ::_exit(clean ? 0 : 1);
   }
   ::close(sv[1]);
@@ -343,14 +349,16 @@ bool ForkLane::spawn(Worker& worker) {
 }
 
 void ForkLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                     std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) {
   finish();
   cell_fn_ = &cell_fn;
-  const std::size_t count = clamp_workers(count_, cell_count);
-  // Stored on the lane (not a start() local) because mid-sweep revives
-  // re-enter spawn() long after start() returned.
-  worker_eval_threads_ = worker_eval_threads(eval_threads, count_, count);
+  // Never more children than cells; the threads of the children not
+  // raised go to the survivors' stream pools instead of idling.  Stored
+  // on the lane (not a start() local) because mid-sweep revives re-enter
+  // spawn() long after start() returned.
+  const std::size_t count =
+      std::min(count_, std::max<std::size_t>(cell_count, 1));
+  child_threads_ = std::max<std::size_t>(count_ / count, 1);
   std::size_t spawned = 0;
   for (std::size_t i = 0; i < count; ++i) {
     auto worker = std::make_unique<Worker>(this, i);

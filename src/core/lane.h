@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/eval_context.h"
 #include "core/executor.h"
 #include "support/wire.h"
 
@@ -203,15 +204,15 @@ class Lane {
   // available; cell_fn is how thread/fork workers evaluate (captured for
   // the duration of the sweep - it must outlive finish()).
   //
-  // eval_threads is the intra-cell thread budget each worker installs as
-  // its ambient EvalContext before evaluating (the Monte-Carlo backend's
-  // stream pool, core/eval_context.h).  0 = adaptive: a worker's budget
-  // is its lane's configured parallelism divided by the workers actually
-  // raised, so a 4-thread lane handed 1 cell gives that cell all 4
-  // threads, and handed 8 cells gives each worker a budget of 1.  Remote
-  // lanes (TCP/fleet) ignore it - each daemon owns its budget.
+  // Local workers evaluate under a StreamPool (core/eval_context.h) that
+  // lends a Monte-Carlo cell threads for its sub-streams.  A ThreadLane
+  // raises all of its threads whatever cell_count is, and they form one
+  // pool: a cell gets its own thread plus every worker that has no frame
+  // pending, so 1 cell on 4 threads runs 4-way.  A ForkLane clamps its
+  // children to cell_count and gives each child a pool of (workers /
+  // children raised - 1) helper threads.  Remote daemons (TCP/fleet)
+  // size their own pools (sweep_workerd --eval-threads).
   virtual void start(std::size_t cell_count, const CellFn& cell_fn,
-                     std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) = 0;
   virtual void finish() = 0;
 };
@@ -232,7 +233,6 @@ class ThreadLane final : public Lane {
   std::size_t threads() const { return threads_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;
 
@@ -240,6 +240,9 @@ class ThreadLane final : public Lane {
   struct Worker;
 
   std::size_t threads_;
+  // The sweep's stream pool; its members are the worker threads.
+  // Created by start(), destroyed by finish() after the joins.
+  std::unique_ptr<StreamPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
@@ -261,7 +264,6 @@ class ForkLane final : public Lane {
   std::size_t workers() const { return count_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;
 
@@ -274,7 +276,7 @@ class ForkLane final : public Lane {
 
   std::size_t count_;
   const CellFn* cell_fn_ = nullptr;  // valid between start() and finish()
-  std::size_t worker_eval_threads_ = 1;  // per-child budget, set by start()
+  std::size_t child_threads_ = 1;  // per-child pool width, set by start()
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

@@ -1,10 +1,7 @@
 #include "core/monte_carlo_backend.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/eval_context.h"
@@ -28,61 +25,30 @@ std::size_t stream_chunk(std::size_t samples, std::size_t streams,
 }
 
 // Sample-parallel evaluation core: partitions the scenario's sample
-// budget into streams() independent RNG sub-streams, runs each under
-// derive_stream_seed(s.seed(), k), and merges the partial results in
-// ascending stream order on the calling thread.
+// budget into streams() independent RNG sub-streams, runs stream k as a
+// task of the ambient StreamPool under derive_stream_seed(s.seed(), k),
+// and merges the partial results in ascending stream order on the
+// calling thread.
 //
 // Determinism contract: the result is a pure function of (scenario,
-// streams()).  Worker threads only decide *which thread* runs a stream
-// (stream k is owned by worker k % workers and each worker reseeds its
-// simulator per stream), never what the stream computes; the merge order
-// is fixed, so any thread budget - including 1 - yields bitwise
-// identical results.  Callers short-circuit streams() == 1 to the
-// seed()-seeded sequential path, which this function must not receive.
+// streams()).  The pool only decides *which thread* runs a stream, never
+// what the stream computes - each task builds its own simulator from the
+// stream's seed - and the merge order is fixed, so any pool, including
+// none, yields bitwise identical results.  When several streams throw,
+// the lowest stream index's error escapes.  Callers short-circuit
+// streams() == 1 to the seed()-seeded sequential path, which this
+// function must not receive.
 //
 // MakeSim(seed) builds a simulator; RunOne(sim, chunk) runs one stream's
-// chunk.  Each worker constructs a single simulator and reseeds it per
-// stream, reusing the event tables and scratch buffers across streams.
+// chunk.
 template <typename Result, typename MakeSim, typename RunOne>
 Result run_streams(const Scenario& s, MakeSim make_sim, RunOne run_one) {
   const std::size_t streams = s.streams();
-  const std::size_t budget =
-      std::max<std::size_t>(current_eval_context().thread_budget, 1);
-  const std::size_t workers = std::min(streams, budget);
-
   std::vector<Result> parts(streams);
-  auto work = [&](std::size_t w) {
-    auto sim = make_sim(derive_stream_seed(s.seed(), w));
-    for (std::size_t k = w; k < streams; k += workers) {
-      sim.reseed(derive_stream_seed(s.seed(), k));
-      parts[k] = run_one(sim, stream_chunk(s.samples(), streams, k));
-    }
-  };
-
-  if (workers <= 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    std::vector<std::exception_ptr> errors(workers);
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&work, &errors, w] {
-        try {
-          work(w);
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-    for (const std::exception_ptr& e : errors) {
-      if (e) {
-        std::rethrow_exception(e);
-      }
-    }
-  }
+  run_stream_tasks(streams, [&](std::size_t k) {
+    auto sim = make_sim(derive_stream_seed(s.seed(), k));
+    parts[k] = run_one(sim, stream_chunk(s.samples(), streams, k));
+  });
 
   Result merged = std::move(parts[0]);
   for (std::size_t k = 1; k < streams; ++k) {

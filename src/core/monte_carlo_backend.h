@@ -17,8 +17,10 @@
 //
 // Sample-parallel: when the scenario's streams() > 1 the sample budget
 // is partitioned into that many independent RNG sub-streams (seeds from
-// derive_stream_seed), evaluated on up to current_eval_context()
-// .thread_budget intra-cell threads and merged in fixed stream order.
+// derive_stream_seed), run as tasks of the ambient StreamPool
+// (current_eval_context().pool; core/eval_context.h says how many threads
+// each lane's pool lends a cell) and merged in fixed stream order.  With
+// no pool installed the streams run in order on the calling thread.
 // streams() == 1 is the exact historical sequential path.
 //
 // Deterministic: the same scenario (seed, streams included) produces
@@ -39,7 +41,7 @@ class MonteCarloBackend : public EvalBackend {
 };
 
 // Runs the asynchronous-RB simulator over the scenario's full sample
-// budget, honoring the streams() axis and the ambient thread budget.
+// budget, honoring the streams() axis and the ambient stream pool.
 // Shared by MonteCarloBackend and DensityMonteCarloBackend so the two
 // agree bitwise on the underlying sample stream.
 AsyncSimResult run_async_monte_carlo(const Scenario& scenario);

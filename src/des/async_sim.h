@@ -61,9 +61,9 @@ class AsyncRbSimulator {
   AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed);
 
   // Resets the RNG to a fresh seed while keeping the event tables and
-  // per-line scratch: a stream pool reuses one simulator instance per
-  // worker thread across streams.  reseed(s) followed by run_lines is
-  // bitwise identical to constructing a new simulator with seed s.
+  // per-line scratch, so one instance can run several sub-streams in
+  // turn.  reseed(s) followed by run_lines is bitwise identical to
+  // constructing a new simulator with seed s.
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   // Simulates until `lines` recovery lines have formed (model semantics).

@@ -85,9 +85,9 @@ class PrpSimulator {
   PrpSimulator(ProcessSetParams params, PrpSimParams sim,
                std::uint64_t seed);
 
-  // Resets the RNG to a fresh seed, keeping the event-draw tables: a
-  // stream pool reuses one simulator per worker thread.  reseed(s) + run
-  // is bitwise identical to a new simulator constructed with seed s.
+  // Resets the RNG to a fresh seed, keeping the event-draw tables, so one
+  // instance can run several sub-streams in turn.  reseed(s) + run is
+  // bitwise identical to a new simulator constructed with seed s.
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   // Runs until `failures` errors have been detected and recovered.

@@ -62,8 +62,8 @@ class SyncRbSimulator {
  public:
   SyncRbSimulator(SyncSimParams params, std::uint64_t seed);
 
-  // Resets the RNG to a fresh seed, keeping the commit scratch: a stream
-  // pool reuses one simulator per worker thread.  reseed(s) + run is
+  // Resets the RNG to a fresh seed, keeping the commit scratch, so one
+  // instance can run several sub-streams in turn.  reseed(s) + run is
   // bitwise identical to a new simulator constructed with seed s.
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 

@@ -85,11 +85,9 @@ std::size_t TcpLane::live() const {
 }
 
 void TcpLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                    std::size_t eval_threads,
                     std::vector<LaneWorker*>* out) {
   (void)cell_count;
   (void)cell_fn;  // remote daemons evaluate plans, never local closures
-  (void)eval_threads;  // each daemon owns its budget (--eval-threads)
   if (!connected_) {
     connected_ = true;
     for (const Endpoint& endpoint : options_.endpoints) {

@@ -77,7 +77,6 @@ class TcpLane final : public Lane {
   // unreachable and options.required, throws net::Error).  Later calls
   // reuse the persistent connections.
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;  // keeps connections (persistent lane)
 

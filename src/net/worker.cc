@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -260,10 +261,19 @@ bool WorkerServer::serve() {
 }
 
 bool WorkerServer::serve_connection(FrameConn& conn) {
-  // The session thread's intra-cell thread budget: every evaluate_plan
-  // below runs under this daemon's configured stream-pool width.
-  EvalContextScope eval_scope(
-      EvalContext{std::max<std::size_t>(options_.eval_threads, 1)});
+  // The session's stream pool: (--eval-threads - 1) helper threads that
+  // live as long as the session and take the streams of every
+  // evaluate_plan below alongside this thread.
+  std::unique_ptr<StreamPool> pool;
+  try {
+    pool = std::make_unique<StreamPool>(
+        std::max<std::size_t>(options_.eval_threads, 1) - 1);
+  } catch (const std::exception& e) {
+    send_error(conn, std::string("worker: cannot start the stream pool: ") +
+                         e.what());
+    return true;
+  }
+  EvalContextScope eval_scope(EvalContext{pool.get()});
   // Per-session state: the handshake, the fail_after counter and the
   // cache opt-out belong to this coordinator's session, not to the
   // daemon - concurrent sessions must not see each other's progress.

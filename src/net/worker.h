@@ -76,9 +76,10 @@ struct WorkerOptions {
                                // under the same key (fleet/auth.h); a
                                // keyless or wrong-keyed coordinator is
                                // refused with a kFrameError, never hung
-  std::size_t eval_threads = 1;  // intra-cell thread budget per session
-                                 // (the Monte-Carlo stream pool of
-                                 // core/eval_context.h); results are
+  std::size_t eval_threads = 1;  // threads per session that run a cell's
+                                 // Monte-Carlo streams: the session thread
+                                 // plus N - 1 helpers of its StreamPool
+                                 // (core/eval_context.h); results are
                                  // identical for any value - this daemon
                                  // owns the knob, --eval-threads=N
 };

@@ -443,42 +443,42 @@ void register_default_kernels(KernelRegistry& registry) {
                 /*threads=*/4});
 
   // --- sample-parallel Monte-Carlo cells --------------------------------
-  // One representative async MC cell under the stream axis.  The _seq
-  // twin runs the identical scenario on a thread budget of 1; the pair is
-  // the honest intra-cell speedup measurement (mc_async_cell /
-  // mc_async_cell_seq), and their ResultSets are bitwise identical by the
-  // stream determinism contract.
-  registry.add({"mc_async_cell", "core", [] {
-                  const Scenario s = Scenario::symmetric(4, 1.0, 0.5)
-                                         .scheme(SchemeKind::kAsynchronous)
-                                         .error_rate(0.25)
-                                         .seed(0x5eed)
-                                         .samples(512)
-                                         .streams(4);
-                  return [s]() -> double {
-                    EvalContextScope scope(EvalContext{4});
-                    const ResultSet r = monte_carlo_backend().evaluate(s);
-                    return r.value("mean_interval_x");
-                  };
-                },
-                // Pinned to one closure: the cell spawns its own 4-thread
-                // stream pool, so harness-level concurrency would only
-                // oversubscribe and blur the _seq comparison.
+  // One representative async MC cell under the stream axis, at two sizes:
+  // the 512-sample cell (where fixed costs dominate) and a 5000-sample
+  // twin the size of a Figure 5 n>=5 cell.  Each parallel kernel builds
+  // its 4-member StreamPool (the timing thread plus 3 helpers) once,
+  // outside the timed closure, as a lane worker does per sweep; the _seq
+  // twins run the identical scenario with no pool.  seq/par is the
+  // honest intra-cell speedup, and the ResultSets are bitwise identical
+  // by the stream determinism contract.  Pinned to one closure: the pool
+  // already brings 4 threads, so harness-level concurrency would only
+  // oversubscribe and blur the comparison.
+  const auto mc_async_cell = [](std::size_t samples, bool pooled) {
+    return [samples, pooled]() -> std::function<double()> {
+      const Scenario s = Scenario::symmetric(4, 1.0, 0.5)
+                             .scheme(SchemeKind::kAsynchronous)
+                             .error_rate(0.25)
+                             .seed(0x5eed)
+                             .samples(samples)
+                             .streams(4);
+      std::shared_ptr<StreamPool> pool;
+      if (pooled) {
+        pool = std::make_shared<StreamPool>(3);
+      }
+      return [s, pool]() -> double {
+        EvalContextScope scope(EvalContext{pool.get()});
+        const ResultSet r = monte_carlo_backend().evaluate(s);
+        return r.value("mean_interval_x");
+      };
+    };
+  };
+  registry.add({"mc_async_cell", "core", mc_async_cell(512, true),
                 /*threads=*/1});
-
-  registry.add({"mc_async_cell_seq", "core", [] {
-                  const Scenario s = Scenario::symmetric(4, 1.0, 0.5)
-                                         .scheme(SchemeKind::kAsynchronous)
-                                         .error_rate(0.25)
-                                         .seed(0x5eed)
-                                         .samples(512)
-                                         .streams(4);
-                  return [s]() -> double {
-                    EvalContextScope scope(EvalContext{1});
-                    const ResultSet r = monte_carlo_backend().evaluate(s);
-                    return r.value("mean_interval_x");
-                  };
-                },
+  registry.add({"mc_async_cell_seq", "core", mc_async_cell(512, false),
+                /*threads=*/1});
+  registry.add({"mc_async_cell_5k", "core", mc_async_cell(5000, true),
+                /*threads=*/1});
+  registry.add({"mc_async_cell_5k_seq", "core", mc_async_cell(5000, false),
                 /*threads=*/1});
 
   registry.add({"mc_stream_merge", "core", [] {

@@ -130,16 +130,23 @@ fleet::FleetLaneOptions fleet_options(const net::Endpoint& registry,
   return opts;
 }
 
+// *backfills (when given) receives the lane's backfill count, read while
+// the executor still owns the lane - the lane dies with the executor.
 std::vector<CellOutcome> run_fleet_sweep(
     std::unique_ptr<fleet::FleetLane> lane,
     const std::vector<Scenario>& cells, const PlanFn& plan,
-    DispatchOptions options = {}) {
+    DispatchOptions options = {}, std::size_t* backfills = nullptr) {
+  const fleet::FleetLane* lane_ptr = lane.get();
   std::vector<std::unique_ptr<Lane>> lanes;
   lanes.push_back(std::move(lane));
   options.quiet = true;
   HybridExecutor executor(std::move(lanes), options);
   executor.set_plan_fn(plan);
-  return executor.run(cells, CellFn());
+  std::vector<CellOutcome> outcomes = executor.run(cells, CellFn());
+  if (backfills != nullptr) {
+    *backfills = lane_ptr->backfills();
+  }
+  return outcomes;
 }
 
 TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
@@ -227,7 +234,6 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   lane_options.readmit_delay_ms = 400;  // first revive lands after the
                                         // membership change below
   auto lane = std::make_unique<fleet::FleetLane>(lane_options);
-  fleet::FleetLane* lane_ptr = lane.get();
 
   std::thread operator_thread([&]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -241,7 +247,9 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   DispatchOptions dopts;
   dopts.batch_size = 1;  // the kill triggers on the second cell
   dopts.handshake_timeout_ms = 2000;
-  const auto outcomes = run_fleet_sweep(std::move(lane), cells, plan, dopts);
+  std::size_t backfills = 0;
+  const auto outcomes =
+      run_fleet_sweep(std::move(lane), cells, plan, dopts, &backfills);
   operator_thread.join();
 
   ASSERT_EQ(outcomes.size(), cells.size());
@@ -251,14 +259,14 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
     EXPECT_EQ(outcomes[i].result, reference[i].result) << "cell " << i;
   }
   // The loss was healed by a *different* member, not a reconnect.
-  EXPECT_GE(lane_ptr->backfills(), 1u);
+  EXPECT_GE(backfills, 1u);
 }
 
 TEST(FleetLaneTest, RequiredLaneFailsLoudlyOnAnEmptyRegistry) {
   TestRegistry registry;  // no members
   fleet::FleetLane lane(fleet_options(registry.endpoint()));
   std::vector<LaneWorker*> workers;
-  EXPECT_THROW(lane.start(10, CellFn(), 0, &workers), net::Error);
+  EXPECT_THROW(lane.start(10, CellFn(), &workers), net::Error);
 }
 
 TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
@@ -273,7 +281,7 @@ TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
   options.connect_retries = 0;
   fleet::FleetLane lane(options);
   std::vector<LaneWorker*> workers;
-  lane.start(10, CellFn(), 0, &workers);
+  lane.start(10, CellFn(), &workers);
   EXPECT_TRUE(workers.empty());
 }
 
