@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "model/async_model.h"
 #include "model/async_symmetric.h"
@@ -150,24 +151,23 @@ ResultSet AnalyticBackend::evaluate(const Scenario& scenario) const {
   }
 
   const std::string key = model_cache_key(scenario);
+  // Formatted before taking the lock: the label is most of a hit's cost.
+  std::string label = scenario.label();
   CacheShard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      // Replay in insertion order with the doubles untouched: bitwise
-      // identical to the evaluation that populated the entry.
-      ResultSet out(name(), scenario.label());
-      for (const Metric& m : it->second) {
-        out.set(m.name, m.value, m.half_width, m.count);
-      }
-      return out;
+      // Adopt a copy of the stored list whole - insertion order, unique
+      // names, doubles untouched - so the hit is bitwise identical to the
+      // evaluation that populated the entry.
+      return ResultSet(name(), std::move(label), it->second);
     }
   }
 
   // Solve outside the lock: concurrent sweep threads racing on the same
   // key duplicate work once, but the entries they store are identical.
-  ResultSet out(name(), scenario.label());
+  ResultSet out(name(), std::move(label));
   evaluate_scheme(scenario, out);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);

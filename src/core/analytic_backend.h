@@ -24,9 +24,12 @@
 // work.  evaluate() memoizes the solved metric list keyed by the wire
 // encoding of exactly those inputs and re-labels cached metrics per cell,
 // so a fig5-style sweep that varies the seed axis pays for each distinct
-// parameter point once.  A hit replays the metrics in insertion order with
-// the doubles bit-preserved, so cached and fresh evaluations are bitwise
-// identical (pinned by tests/perf/analytic_cache_test.cc).  The cache is
+// parameter point once.  A hit copies the stored metric list whole into
+// the ResultSet (insertion order, unique names, doubles bit-preserved), so
+// cached and fresh evaluations are bitwise identical (pinned by
+// tests/perf/analytic_cache_test.cc) and a hit costs one lookup, one
+// vector copy and the cell's label - Scenario::label() formats without
+// iostreams because it is most of a hit's time.  The cache is
 // striped across kCacheShards independently-locked shards selected by the
 // key's hash (sweep threads share the backend singleton; a single mutex
 // serialized every lookup and showed up as contention in the threaded

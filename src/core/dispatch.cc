@@ -130,9 +130,11 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
     }
 
     const std::uint64_t total = cells.size();
-    const std::uint64_t fingerprint = grid_fingerprint(cells);
+    // Only handshaking (remote) workers read the grid fingerprint, so the
+    // whole-grid hash is taken on the first send_hello and memoized for
+    // re-handshakes; thread and fork lanes never pay for it.
     Hello hello;
-    hello.fingerprint = fingerprint;
+    bool fingerprinted = false;
     hello.total_cells = total;
     if (options_.no_cache) {
       hello.flags |= kHelloFlagNoCache;
@@ -418,7 +420,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
           r.expect_done();
           if (echo.protocol != hello.protocol ||
               echo.wire_version != hello.wire_version ||
-              echo.fingerprint != fingerprint) {
+              echo.fingerprint != hello.fingerprint) {
             refuse(slot, "ack does not echo this sweep's handshake",
                    /*revivable=*/false);
             return true;
@@ -437,6 +439,10 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
     const auto send_hello = [&](Slot& slot) {
       // Per-worker amendments: an authenticated worker flags the auth
       // exchange, a fleet-leased worker attaches its registry grant.
+      if (!fingerprinted) {
+        hello.fingerprint = grid_fingerprint(cells);
+        fingerprinted = true;
+      }
       Hello worker_hello = hello;
       slot.worker->prepare_hello(worker_hello);
       wire::Writer w;

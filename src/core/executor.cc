@@ -230,17 +230,24 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
 }
 
 std::uint64_t grid_fingerprint(const std::vector<Scenario>& cells) {
+  // FNV-1a over the grid's wire form (endian-stable, so the fingerprint
+  // matches across hosts): the cell count, then every cell's encoding.
+  // The bytes are fed one cell at a time through one reused buffer, so
+  // the whole grid's encoding is never held at once.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
   wire::Writer w;
+  const auto absorb = [&h, &w] {
+    for (std::byte b : w.data()) {
+      h ^= static_cast<std::uint8_t>(b);
+      h *= 0x100000001b3ULL;
+    }
+    w.clear();
+  };
   w.u64(cells.size());
+  absorb();
   for (const Scenario& cell : cells) {
     cell.encode(w);
-  }
-  // FNV-1a over the grid's wire form (endian-stable, so the fingerprint
-  // matches across hosts).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::byte b : w.data()) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 0x100000001b3ULL;
+    absorb();
   }
   return h;
 }

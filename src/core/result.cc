@@ -16,6 +16,12 @@ std::string indexed_metric(const char* stem, std::size_t i) {
 ResultSet::ResultSet(std::string backend, std::string scenario)
     : backend_(std::move(backend)), scenario_(std::move(scenario)) {}
 
+ResultSet::ResultSet(std::string backend, std::string scenario,
+                     std::vector<Metric> metrics)
+    : backend_(std::move(backend)),
+      scenario_(std::move(scenario)),
+      metrics_(std::move(metrics)) {}
+
 void ResultSet::set(const std::string& name, double value, double half_width,
                     std::size_t count) {
   for (Metric& m : metrics_) {

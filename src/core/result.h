@@ -35,6 +35,11 @@ class ResultSet {
  public:
   ResultSet() = default;
   ResultSet(std::string backend, std::string scenario);
+  // Adopts an already-built metric list as is, in order.  The names must
+  // be unique (as every list built through set() is); a cache replaying
+  // a stored list uses this to skip set()'s per-metric upsert scan.
+  ResultSet(std::string backend, std::string scenario,
+            std::vector<Metric> metrics);
 
   const std::string& backend() const { return backend_; }
   const std::string& scenario() const { return scenario_; }

@@ -1,6 +1,6 @@
 #include "core/scenario.h"
 
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "support/check.h"
@@ -140,14 +140,20 @@ Scenario& Scenario::workload(RuntimeWorkload w) {
 }
 
 std::string Scenario::label() const {
-  std::ostringstream os;
-  os << scheme_tag(scheme_) << " " << params_.describe() << " seed=" << seed_;
+  // Appends, no iostreams: an analytic cache hit costs little more than
+  // this label (byte contract in the header).
+  std::string out = scheme_tag(scheme_);
+  out += ' ';
+  out += params_.describe();
+  out += " seed=";
+  out += std::to_string(seed_);
   // streams=1 is the implicit default; omitting it keeps every
   // pre-stream label (and thus golden output) byte-identical.
   if (streams_ > 1) {
-    os << " streams=" << streams_;
+    out += " streams=";
+    out += std::to_string(streams_);
   }
-  return os.str();
+  return out;
 }
 
 RuntimeConfig Scenario::runtime_config() const {

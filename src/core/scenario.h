@@ -113,8 +113,12 @@ class Scenario {
   const RuntimeWorkload& workload() const { return workload_; }
   Scenario& workload(RuntimeWorkload w);
 
-  // Stable human-readable identifier, e.g.
-  // "async n=3 rho=1 seed=42"; used as the ResultSet scenario label.
+  // Stable human-readable identifier, e.g. "async n=2 mu=(1,1)
+  // lambda=(0.5) rho=0.25 seed=42"; used as the ResultSet scenario label.
+  // Byte contract: the scheme tag, ProcessSetParams::describe() (doubles
+  // as printf's %.6g in the C locale, the default std::ostream format),
+  // " seed=" and the decimal seed, then " streams=K" only when K > 1.
+  // Goldens and journals persist labels, so the text must never drift.
   std::string label() const;
 
   // --- wire form ---

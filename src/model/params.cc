@@ -1,11 +1,29 @@
 #include "model/params.h"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <system_error>
 
 #include "support/check.h"
 
 namespace rbx {
+
+namespace {
+
+// Appends v exactly as a default-formatted std::ostream prints it in the
+// C locale: printf's %.6g ("0.666667", "1e-05", "1e+16", "inf", "-nan").
+// std::to_chars with general format and an explicit precision is
+// specified as that printf conversion, without the stream's locale and
+// sentry machinery.
+void append_general6(std::string& out, double v) {
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  RBX_CHECK(r.ec == std::errc());
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
 
 ProcessSetParams::ProcessSetParams(std::vector<double> mu,
                                    std::vector<double> lambda_flat)
@@ -117,21 +135,29 @@ bool ProcessSetParams::is_symmetric_rates() const {
 }
 
 std::string ProcessSetParams::describe() const {
-  std::ostringstream os;
-  os << "n=" << n() << " mu=(";
+  std::string out = "n=";
+  out += std::to_string(n());
+  out += " mu=(";
   for (std::size_t i = 0; i < n(); ++i) {
-    os << (i ? "," : "") << mu_[i];
+    if (i) {
+      out += ',';
+    }
+    append_general6(out, mu_[i]);
   }
-  os << ") lambda=(";
+  out += ") lambda=(";
   bool first = true;
   for (std::size_t i = 0; i < n(); ++i) {
     for (std::size_t j = i + 1; j < n(); ++j) {
-      os << (first ? "" : ",") << lambda(i, j);
+      if (!first) {
+        out += ',';
+      }
+      append_general6(out, lambda_[i * n() + j]);
       first = false;
     }
   }
-  os << ") rho=" << rho();
-  return os.str();
+  out += ") rho=";
+  append_general6(out, rho());
+  return out;
 }
 
 }  // namespace rbx

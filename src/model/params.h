@@ -55,6 +55,12 @@ class ProcessSetParams {
 
   bool is_symmetric_rates() const;      // all mu equal and all lambda equal
 
+  // "n=3 mu=(1,1,1) lambda=(0.5,0.5,0.5) rho=0.5".  Byte contract: every
+  // double is printed as printf's %.6g in the C locale - exactly what a
+  // default-formatted std::ostream writes - and n as a plain decimal.
+  // Scenario labels embed this text and journals and goldens persist
+  // them, so the format must never drift (tests/core/scenario_test.cc
+  // pins literal values).
   std::string describe() const;
 
  private:

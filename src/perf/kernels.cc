@@ -7,7 +7,8 @@
 //   core      one full analytic cell evaluation (async and sync schemes)
 //             and one hybrid PRP+sync cell through the registered
 //             "hybrid" backend - the units every sweep, shard and
-//             cluster run multiplies
+//             cluster run multiplies - plus the cell label every
+//             ResultSet carries
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   wire      encode/decode of Scenario and ResultSet, seal/parse of a
@@ -291,6 +292,20 @@ void register_default_kernels(KernelRegistry& registry) {
                     return r.value("mean_interval_x");
                   };
                 }});
+
+  // The label every cell's ResultSet carries; at n=7 it formats 29
+  // doubles.  Pinned to 1 thread so its ratio to analytic_async_cell
+  // (a warm cache hit, which formats one n=6 label) says how much of a
+  // hit is still label formatting - CI asserts a floor on that ratio.
+  registry.add({"scenario_label", "core",
+                [] {
+                  const Scenario s = Scenario::symmetric(7, 1.0, 0.5)
+                                         .scheme(SchemeKind::kAsynchronous);
+                  return [s]() -> double {
+                    return static_cast<double>(s.label().size());
+                  };
+                },
+                /*threads=*/1});
 
   registry.add({"analytic_sync_cell", "core", [] {
                   const Scenario s = Scenario::symmetric(8, 1.0, 0.0)

@@ -73,6 +73,9 @@ class Writer {
 
   const std::vector<std::byte>& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
+  // Empties the buffer but keeps its capacity, for a writer reused
+  // across many small encodings.
+  void clear() { buf_.clear(); }
   // Moves the buffer out (the writer is empty afterwards); spares the
   // copy when the caller owns the result anyway.
   std::vector<std::byte> take() { return std::move(buf_); }

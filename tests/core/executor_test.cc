@@ -446,5 +446,14 @@ TEST(GridFingerprintTest, SensitiveToEveryExperimentKnob) {
   EXPECT_NE(grid_fingerprint(shorter), reference);
 }
 
+TEST(GridFingerprintTest, ValuesArePinned) {
+  // Journals and shard partials persist the fingerprint, and --resume
+  // refuses a journal whose fingerprint differs: an edit to the hash, the
+  // byte stream it covers or the grid expansion must not slip through
+  // unnoticed.  The literals are the FNV-1a of the wire form.
+  EXPECT_EQ(grid_fingerprint(mc_grid(17)), 0xa2150d622b67870cULL);
+  EXPECT_EQ(grid_fingerprint({}), 0xa8c7f832281a39c5ULL);
+}
+
 }  // namespace
 }  // namespace rbx

@@ -1,5 +1,14 @@
 #include "core/scenario.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace rbx {
@@ -92,16 +101,6 @@ TEST(Scenario, PrpSimParamsProjection) {
   EXPECT_DOUBLE_EQ(sp.sync_period, 4.0);
 }
 
-TEST(Scenario, LabelNamesSchemeRatesAndSeed) {
-  const std::string label = Scenario::symmetric(3, 1.0, 1.0)
-                                .scheme(SchemeKind::kSynchronized)
-                                .seed(42)
-                                .label();
-  EXPECT_NE(label.find("sync"), std::string::npos);
-  EXPECT_NE(label.find("n=3"), std::string::npos);
-  EXPECT_NE(label.find("seed=42"), std::string::npos);
-}
-
 TEST(Scenario, StreamsDefaultToOneAndStayOutOfTheLabel) {
   const Scenario base = Scenario::symmetric(3, 1.0, 1.0).seed(42);
   EXPECT_EQ(base.streams(), 1u);
@@ -110,6 +109,97 @@ TEST(Scenario, StreamsDefaultToOneAndStayOutOfTheLabel) {
   EXPECT_EQ(base.label().find("streams"), std::string::npos);
   const Scenario streamed = Scenario(base).streams(4);
   EXPECT_NE(streamed.label().find("streams=4"), std::string::npos);
+}
+
+// Labels are persisted - in goldens, journals and merged shard output -
+// so their exact bytes are part of the format.  The literals are what a
+// default-formatted std::ostream prints; any change to them breaks
+// --resume of older journals.
+TEST(Scenario, LabelBytesArePinned) {
+  EXPECT_EQ(Scenario::symmetric(3, 1.0, 1.0)
+                .scheme(SchemeKind::kSynchronized)
+                .seed(42)
+                .label(),
+            "sync n=3 mu=(1,1,1) lambda=(1,1,1) rho=1 seed=42");
+  EXPECT_EQ(Scenario::symmetric(4, 1.5, 0.25)
+                .scheme(SchemeKind::kPseudoRecoveryPoints)
+                .seed(7)
+                .label(),
+            "prp n=4 mu=(1.5,1.5,1.5,1.5) "
+            "lambda=(0.25,0.25,0.25,0.25,0.25,0.25) rho=0.25 seed=7");
+  // Non-symmetric rates that exercise every %.6g branch: an exponent
+  // below -4, six significant digits, a tie rounded to even (123456.5),
+  // an exponent above the precision; plus the widest seed and a stream
+  // count (lambda is listed in (1,2), (1,3), (2,3) order).
+  EXPECT_EQ(Scenario(ProcessSetParams::three(1e-5, 2.0 / 3.0, 123456.5,
+                                             /*l12=*/1e16, /*l23=*/0.1,
+                                             /*l13=*/3.0))
+                .seed(std::numeric_limits<std::uint64_t>::max())
+                .streams(4)
+                .label(),
+            "async n=3 mu=(1e-05,0.666667,123456) lambda=(1e+16,3,0.1) "
+            "rho=8.09998e+10 seed=18446744073709551615 streams=4");
+  EXPECT_EQ(Scenario::symmetric(2, 1.0, 0.5).seed(0).label(),
+            "async n=2 mu=(1,1) lambda=(0.5) rho=0.25 seed=0");
+}
+
+// Reference for describe()'s byte contract: a default-formatted
+// std::ostringstream.
+std::string ostream_describe(const ProcessSetParams& p) {
+  std::ostringstream os;
+  os << "n=" << p.n() << " mu=(";
+  for (std::size_t i = 0; i < p.n(); ++i) {
+    os << (i ? "," : "") << p.mu(i);
+  }
+  os << ") lambda=(";
+  bool first = true;
+  for (std::size_t i = 0; i < p.n(); ++i) {
+    for (std::size_t j = i + 1; j < p.n(); ++j) {
+      os << (first ? "" : ",") << p.lambda(i, j);
+      first = false;
+    }
+  }
+  os << ") rho=" << p.rho();
+  return os.str();
+}
+
+TEST(Scenario, DescribeMatchesTheOstreamFormatter) {
+  std::mt19937_64 rng(0x1abe1);
+  // Any non-negative double (random bit patterns cover subnormals, huge
+  // exponents and infinity) mixed with values near rounding boundaries.
+  const std::vector<double> awkward = {
+      0.0,     1e16,  999999.5,  9999995.0, 123456.5,
+      0.0001,  1e-5,  9.999995e-5, 2.0 / 3.0, 5e-324,
+      1e300,   0.5,   std::numeric_limits<double>::infinity()};
+  const auto rate = [&rng, &awkward](bool positive) {
+    for (;;) {
+      double v;
+      if (rng() % 4 == 0) {
+        v = awkward[rng() % awkward.size()];
+      } else {
+        const std::uint64_t bits = rng() & ~(std::uint64_t{1} << 63);
+        std::memcpy(&v, &bits, sizeof v);
+      }
+      if (!std::isnan(v) && (!positive || v > 0.0)) {
+        return v;
+      }
+    }
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng() % 6;
+    std::vector<double> mu(n);
+    std::vector<double> lambda(n * n, 0.0);
+    for (double& m : mu) {
+      m = rate(/*positive=*/true);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        lambda[i * n + j] = lambda[j * n + i] = rate(/*positive=*/false);
+      }
+    }
+    const ProcessSetParams p(std::move(mu), std::move(lambda));
+    ASSERT_EQ(p.describe(), ostream_describe(p)) << "trial " << trial;
+  }
 }
 
 TEST(ScenarioDeathTest, LoudMisuse) {

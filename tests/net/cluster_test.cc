@@ -341,6 +341,59 @@ TEST(ClusterExecutorTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
   }
 }
 
+TEST(ClusterExecutorTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
+  // The coordinator fingerprints the grid only when a worker handshakes.
+  // A fake worker records the Hello it receives and acks with a stale
+  // fingerprint, as a worker still answering another sweep would: the
+  // Hello must carry grid_fingerprint(cells), the stale ack must be
+  // refused (the coordinator hangs up without sending work), and the
+  // real worker finishes the sweep bitwise.
+  const std::vector<Scenario> cells = mc_grid(61);
+  const PlanFn plan = mc_plan();
+  const auto reference =
+      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+
+  net::Listener stale(0);
+  net::Hello received;
+  bool got_work = true;
+  // A jthread: an early ASSERT return still joins it, after the
+  // executor's destruction has closed the connection it reads.
+  std::jthread fake([&stale, &received, &got_work]() {
+    net::FrameConn conn(stale.accept_client());
+    wire::Frame hello;
+    if (!conn.recv(&hello) || hello.type != net::kFrameHello) {
+      return;
+    }
+    wire::Reader r(hello.payload);
+    received = net::Hello::decode(r);
+    net::Hello echo = received;
+    echo.fingerprint ^= 1;
+    wire::Writer w;
+    echo.encode(w);
+    conn.send(net::kFrameHelloAck, w.data());
+    wire::Frame next;
+    got_work = conn.recv(&next);
+  });
+
+  TestWorker alive;
+  {
+    net::ClusterExecutor cluster(cluster_options(
+        {net::Endpoint{"127.0.0.1", stale.port()}, alive.endpoint()}));
+    cluster.set_plan_fn(plan);
+    const auto remote = cluster.run(cells, CellFn());
+    ASSERT_EQ(remote.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_TRUE(remote[i].ok()) << remote[i].error;
+      EXPECT_EQ(remote[i].result, reference[i].result);
+    }
+    EXPECT_EQ(cluster.live_workers(), 1u);
+  }
+  fake.join();
+  EXPECT_EQ(received.fingerprint, grid_fingerprint(cells));
+  EXPECT_EQ(received.total_cells, cells.size());
+  EXPECT_FALSE(got_work);
+}
+
 TEST(WorkerHandshakeTest, RefusesWireVersionMismatch) {
   TestWorker worker;
   {

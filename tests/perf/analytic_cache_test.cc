@@ -74,6 +74,34 @@ TEST(AnalyticCacheTest, SeedAxisSharesOneEntryButKeepsLabels) {
   EXPECT_EQ(cached.cached_models(), 2u);
 }
 
+TEST(AnalyticCacheTest, ReplayUnderANewLabelEqualsFreshEvaluation) {
+  // A hit adopts the stored metric list whole instead of re-inserting it
+  // metric by metric; the result must still equal a from-scratch
+  // evaluation of the *hitting* cell - its own label, the shared metrics.
+  const AnalyticBackend uncached(false);
+  const AnalyticBackend cached(true);
+  const SchemeKind schemes[] = {SchemeKind::kAsynchronous,
+                                SchemeKind::kSynchronized,
+                                SchemeKind::kPseudoRecoveryPoints};
+  std::size_t entries = 0;
+  for (SchemeKind scheme : schemes) {
+    for (std::size_t n = 2; n <= 7; ++n) {
+      const Scenario base =
+          Scenario::symmetric(n, 1.0, 0.5).scheme(scheme).seed(1);
+      cached.evaluate(base);  // miss: populates the entry
+      ++entries;
+      const Scenario cell = Scenario(base).seed(1000 + n);
+      ASSERT_NE(cell.label(), base.label());
+      const ResultSet hit = cached.evaluate(cell);
+      EXPECT_EQ(cached.cached_models(), entries) << cell.label();
+      EXPECT_EQ(hit.scenario(), cell.label());
+      EXPECT_TRUE(hit == uncached.evaluate(cell)) << cell.label();
+      EXPECT_EQ(encoded(hit), encoded(uncached.evaluate(cell)))
+          << cell.label();
+    }
+  }
+}
+
 TEST(AnalyticCacheTest, SchemeIsPartOfTheKey) {
   // Identical rates under different schemes produce different metrics;
   // the scheme byte in the key keeps them apart.
