@@ -8,7 +8,7 @@
 // Prints the analytic comparison, Monte-Carlo validation, and a thread
 // runtime shakedown of each scheme - all driven by one Scenario flowing
 // through the three EvalBackends, with the shakedown grid evaluated by
-// SweepEngine.
+// a SweepRunner.
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
               fmt_ci(mc_x.value, mc_x.half_width).c_str());
 
   // Thread-runtime shakedown of each scheme on this process count: a
-  // one-axis SweepEngine grid over the scheme knob.
+  // one-axis sweep over the scheme knob.
   const Scenario shakedown =
       Scenario(scenario).seed(1).at_failure_probability(0.05);
   const std::vector<SchemeKind> schemes = {
@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
     cells.push_back(Scenario(shakedown).scheme(scheme));
   }
   // One worker: each runtime cell already spawns n process threads.
+  SweepRunner runner(ExperimentOptions(), /*default_threads=*/1);
   const std::vector<ResultSet> reports =
-      SweepEngine({1}).run(cells, runtime_backend());
+      *runner.run(cells, runtime_backend());
   for (std::size_t k = 0; k < reports.size(); ++k) {
     const ResultSet& r = reports[k];
     const char* name = schemes[k] == SchemeKind::kAsynchronous

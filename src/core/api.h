@@ -25,25 +25,22 @@
 //                inventories, core/structure_backend.h), and
 //                "micro-markov" (Markov-engine timing kernels,
 //                perf/micro_backend.h);
-//   SweepEngine  parameter-grid expansion and parallel evaluation of
-//                scenario batches with deterministic per-cell seeding
-//                (core/sweep.h);
-//   Executor     where sweep cells run (core/executor.h).  Every executor
-//                is a lane configuration over the one shared scheduler,
-//                DispatchCore (core/dispatch.h): InProcessExecutor (a
-//                ThreadLane of worker threads), MultiProcessExecutor (a
-//                ForkLane of forked workers, respawned on crash),
-//                net::ClusterExecutor (a TcpLane of remote sweep_workerd
-//                daemons, net/cluster.h) and HybridExecutor (any mix of
-//                lanes in a single sweep), all returning per-cell
-//                outcomes bitwise identical to a serial run;
-//   DispatchCore the scheduler itself (core/dispatch.h): cell queue,
-//                adaptive batch sizing, per-cell in-flight accounting
-//                under a committed mask, straggler work stealing, loss
-//                reconciliation, streaming result merge, and mid-sweep
-//                re-admission of lost workers - shared by every lane
-//                kind, so forked workers get stealing and adaptive
-//                batching exactly as cluster workers do;
+//   SweepGrid    parameter-grid expansion with deterministic per-cell
+//                seeding (core/sweep.h);
+//   Lane         where sweep cells run (core/lane.h): ThreadLane (worker
+//                threads), ForkLane (forked workers, respawned on
+//                crash), net::TcpLane (remote sweep_workerd daemons,
+//                net/cluster.h) and fleet::FleetLane (daemons resolved
+//                from a fleet registry, fleet/lane.h);
+//   DispatchCore the one way to evaluate cells (core/dispatch.h): a
+//                scheduler over caller-owned lanes - any mix of them in
+//                a single sweep - with a cell queue, adaptive batch
+//                sizing, per-cell in-flight accounting under a committed
+//                mask, straggler work stealing, loss reconciliation,
+//                streaming result merge, and mid-sweep re-admission of
+//                lost workers.  run() returns a SweepResult: per-cell
+//                outcomes bitwise identical to a serial run, plus that
+//                run's steal and re-admission counts;
 //   EvalContext  the ambient StreamPool a cell may hand its streams to
 //                (core/eval_context.h).  A ThreadLane's worker threads
 //                are one pool: a cell runs on its own thread plus every
@@ -93,7 +90,7 @@
 //                --compare mode that fails on regressions.
 //
 // Scenario and ResultSet have exact binary round-trips (encode/decode on
-// support/wire.h) - the executors and shard files depend on doubles being
+// support/wire.h) - the lanes and shard files depend on doubles being
 // bit-preserved on the wire, which is what makes every execution mode
 // print identical tables.
 //
@@ -109,15 +106,22 @@
 //
 //   auto cells = SweepGrid(s).axis({2, 3, 4, 5}, apply_n)
 //                    .expand(master_seed);
-//   auto results = SweepEngine({opts.threads})
-//                      .run(cells, monte_carlo_backend());
+//   SweepRunner runner(opts);  // lanes composed from the bench flags
+//   auto results = runner.run(cells, monte_carlo_backend());
+//
+// or, below the bench flags, on lanes of the caller's choosing:
+//
+//   ThreadLane threads(8);
+//   ForkLane forks(4);
+//   DispatchCore core({&forks, &threads});
+//   auto outcomes = core.run(cells, cell_fn).outcomes;
 //
 // The same cells sharded across two hosts reproduce those results
 // bitwise:
 //
 //   host A: outcomes for shard_cell_indices(cells.size(), {0, 2})
 //   host B: outcomes for shard_cell_indices(cells.size(), {1, 2})
-//   merge_shard_partials({A, B}) == SweepEngine(...).run(cells, ...)
+//   merge_shard_partials({A, B}) == the unsharded results
 //
 // (benches expose this as --shard=i/k + --merge=A,B, where a merge
 // source is a partial file or the HOST:PORT of a --shard-serve run
@@ -154,12 +158,13 @@
 //   trace/     histories, exact recovery lines, rollback planning
 //   des/       Monte-Carlo simulators of the three schemes
 //   runtime/   thread-based processes with real checkpoint/rollback
-//   core/      Scenario + EvalBackend + SweepEngine + Executor/ShardSpec,
+//   core/      Scenario + EvalBackend + SweepGrid + ShardSpec,
 //              DispatchCore + ThreadLane/ForkLane (core/dispatch.h,
-//              core/lane.h); the specialized backends (density, ablation,
-//              structure) live here too
-//   net/       the TCP lane of the dispatch layer (TcpLane,
-//              ClusterExecutor, WorkerServer)
+//              core/lane.h), SweepRunner (core/experiment.h); the
+//              specialized backends (density, ablation, structure) live
+//              here too
+//   net/       the TCP lane of the dispatch layer (TcpLane) and the
+//              worker daemon (WorkerServer)
 //   fleet/     the shared-fleet subsystem: registry + membership
 //              (join/heartbeat/leave), fair-share leasing, pre-shared-key
 //              auth (HMAC-SHA256, signed leases), FleetLane (--fleet)

@@ -18,7 +18,7 @@
 // sample mean from the DES), so cross-backend validation is a join on
 // metric name instead of per-experiment glue.  The registered backends are
 // stateless singletons; evaluate() is const and safe to call concurrently
-// from SweepEngine worker threads.
+// from lane worker threads.
 #pragma once
 
 #include <cstddef>

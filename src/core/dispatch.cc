@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Revival attempts per loss before a lost worker is given up on.
+constexpr int kReadmitMaxAttempts = 5;
+
 // Milliseconds until `when`, rounded up, clamped into poll()'s int range.
 int ms_until(Clock::time_point now, Clock::time_point when) {
   if (when <= now) {
@@ -58,11 +61,11 @@ void DispatchCore::set_precommitted(std::vector<std::uint8_t> mask,
   precommitted_outcomes_ = std::move(outcomes);
 }
 
-std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
-                                           const CellFn& cell_fn) {
-  stolen_last_run_ = 0;
-  readmitted_last_run_ = 0;
-  std::vector<CellOutcome> outcomes(cells.size());
+SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
+                              const CellFn& cell_fn) {
+  SweepResult result;
+  result.outcomes.resize(cells.size());
+  std::vector<CellOutcome>& outcomes = result.outcomes;
 
   // Consume the one-shot resume seed (the journal's redo pass): these
   // outcomes are final before any worker starts.
@@ -88,7 +91,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
   }
 
   if (cells.empty()) {
-    return outcomes;
+    return result;
   }
 
   // A fully pre-committed sweep (resuming a journal that already ended) is
@@ -99,7 +102,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
       all_committed = pre[i] != 0;
     }
     if (all_committed) {
-      return outcomes;
+      return result;
     }
   }
 
@@ -182,7 +185,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
     const auto schedule_revive = [&](Slot& slot) {
       slot.revive_scheduled = false;
       if (!options_.readmit || !slot.worker->can_revive() ||
-          slot.failed_revives >= options_.readmit_max_attempts) {
+          slot.failed_revives >= kReadmitMaxAttempts) {
         return;
       }
       const long long base =
@@ -328,8 +331,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
         lose(thief, "send failed");
         return;
       }
-      stolen_last_run_ += take;
-      stolen_total_ += take;
+      result.stolen_cells += take;
       if (!options_.quiet) {
         std::fprintf(stderr,
                      "sweep: stole %zu tail cell(s) from straggler %s for "
@@ -358,8 +360,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
       slot.acked = true;
       slot.failed_revives = 0;
       if (slot.revived) {
-        ++readmitted_last_run_;
-        ++readmitted_total_;
+        ++result.readmitted_workers;
         if (!options_.quiet) {
           std::fprintf(stderr,
                        "sweep: re-admitted worker %s (rejoined the live "
@@ -727,31 +728,7 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
   for (Lane* lane : lanes_) {
     lane->finish();
   }
-  return outcomes;
-}
-
-// --- HybridExecutor ----------------------------------------------------------
-
-std::vector<Lane*> HybridExecutor::raw_lanes(
-    const std::vector<std::unique_ptr<Lane>>& lanes) {
-  std::vector<Lane*> out;
-  out.reserve(lanes.size());
-  for (const auto& lane : lanes) {
-    out.push_back(lane.get());
-  }
-  return out;
-}
-
-HybridExecutor::HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
-                               DispatchOptions options)
-    : lanes_(std::move(lanes)),
-      core_(raw_lanes(lanes_), std::move(options)) {}
-
-HybridExecutor::~HybridExecutor() = default;
-
-std::vector<CellOutcome> HybridExecutor::run(
-    const std::vector<Scenario>& cells, const CellFn& cell_fn) const {
-  return core_.run(cells, cell_fn);
+  return result;
 }
 
 }  // namespace rbx

@@ -1,16 +1,23 @@
-// DispatchCore: the one scheduler every executor shares.
+// DispatchCore: the one way a sweep's cells get evaluated.
 //
-// InProcessExecutor, MultiProcessExecutor and net::ClusterExecutor used to
-// each reimplement the same machinery - a cell queue, adaptive batch
-// sizing, per-cell in-flight accounting under a committed mask, straggler
-// work stealing, loss reconciliation and a streaming result merge.  All of
-// that now lives here once, driving pluggable Lanes (core/lane.h): a
-// worker is a framed channel, whether a thread, a forked child or a TCP
-// daemon on another host, and one poll loop feeds them all.  The three
-// executors are thin lane configurations; HybridExecutor runs any mix of
-// lanes in a single sweep (`--threads=8 --workers=4 --connect=a:1,b:2`),
-// and because per-cell seeds pin every evaluation, the output is byte-
-// identical to a single-threaded run no matter how the cells were dealt.
+// A cell queue, adaptive batch sizing, per-cell in-flight accounting
+// under a committed mask, straggler work stealing, loss reconciliation
+// and a streaming result merge, driving caller-owned Lanes
+// (core/lane.h): a worker is a framed channel, whether a thread, a forked
+// child or a TCP daemon on another host, and one poll loop feeds them
+// all.  Any mix of lanes runs as one sweep
+// (`--threads=8 --workers=4 --connect=a:1,b:2`), and because per-cell
+// seeds pin every evaluation, the output is byte-identical to a
+// single-threaded run no matter how the cells were dealt:
+//
+//   ThreadLane lane(4);
+//   DispatchCore core({&lane});
+//   const SweepResult sweep = core.run(cells, cell_fn);
+//   // sweep.outcomes[i] is cell i's ResultSet or per-cell error
+//
+// The lanes must outlive the core.  SweepRunner (core/experiment.h)
+// composes the lanes from a bench's command line and runs every sweep of
+// that bench through one core.
 //
 // The scheduler applies the paper's backward error recovery to the worker
 // pool itself:
@@ -37,8 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/backend.h"
@@ -58,17 +63,29 @@ struct DispatchOptions {
   bool quiet = false;  // no stderr notes on loss/steal/re-admission
   // Mid-sweep re-admission: a lost worker that can_revive() is retried on
   // a backoff timer (base = the worker's revive_delay_ms, doubled per
-  // consecutive failure), up to readmit_max_attempts tries per loss.
+  // consecutive failure), up to five tries per loss.
   bool readmit = true;
-  int readmit_max_attempts = 5;
   // Ask remote daemons to bypass their result cache (--no-cache): set the
   // kHelloFlagNoCache bit in this sweep's handshake.
   bool no_cache = false;
 };
 
+// One run()'s outcomes plus what recovery did during it - a value the
+// caller keeps after the lanes and the core are gone.
+struct SweepResult {
+  std::vector<CellOutcome> outcomes;  // one per cell, in cell order
+  // Cells re-dispatched from stragglers to idle workers (duplicated
+  // evaluation never shows in the outcomes, only here).
+  std::size_t stolen_cells = 0;
+  // Lost workers revived and re-admitted into the pool.
+  std::size_t readmitted_workers = 0;
+};
+
 class DispatchCore {
  public:
-  DispatchCore(std::vector<Lane*> lanes, DispatchOptions options);
+  // The lanes stay owned by the caller and must outlive the core.
+  explicit DispatchCore(std::vector<Lane*> lanes,
+                        DispatchOptions options = DispatchOptions());
 
   // How workers that need_plan() (remote daemons) evaluate cells; local
   // thread/fork workers always run cell_fn.  Must be set before run()
@@ -97,20 +114,7 @@ class DispatchCore {
   // std::runtime_error only for infrastructure failures (no usable
   // workers, poll failure, a plan-needing lane without a plan function);
   // worker loss is recovered, not thrown.
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn);
-
-  // Cells re-dispatched from stragglers to idle workers - lifetime total
-  // and the last run() alone (duplicated evaluation never shows in the
-  // output, only in these counters).
-  std::size_t stolen_cells() const { return stolen_total_; }
-  std::size_t stolen_cells_last_run() const { return stolen_last_run_; }
-
-  // Lost workers revived and re-admitted into the pool, same split.
-  std::size_t readmitted_workers() const { return readmitted_total_; }
-  std::size_t readmitted_workers_last_run() const {
-    return readmitted_last_run_;
-  }
+  SweepResult run(const std::vector<Scenario>& cells, const CellFn& cell_fn);
 
  private:
   std::vector<Lane*> lanes_;
@@ -120,54 +124,6 @@ class DispatchCore {
   bool have_precommitted_ = false;
   std::vector<std::uint8_t> precommitted_mask_;
   std::vector<CellOutcome> precommitted_outcomes_;
-  std::size_t stolen_total_ = 0;
-  std::size_t stolen_last_run_ = 0;
-  std::size_t readmitted_total_ = 0;
-  std::size_t readmitted_last_run_ = 0;
-};
-
-// Any mix of lanes behind the plain Executor interface - the executor
-// behind `--threads=8 --workers=4 --connect=hostA:9000,hostB:9000`.
-// Owns its lanes; per-sweep lanes (threads, forks) are raised and reaped
-// per run() while persistent lanes (TCP) keep their connections across
-// runs, so one HybridExecutor serves every sweep of a bench.
-class HybridExecutor final : public Executor {
- public:
-  explicit HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
-                          DispatchOptions options = DispatchOptions());
-  ~HybridExecutor() override;
-
-  std::string name() const override { return "hybrid"; }
-
-  void set_plan_fn(PlanFn plan_fn) { core_.set_plan_fn(std::move(plan_fn)); }
-  void set_commit_hook(DispatchCore::CommitHook hook) {
-    core_.set_commit_hook(std::move(hook));
-  }
-  void set_precommitted(std::vector<std::uint8_t> mask,
-                        std::vector<CellOutcome> outcomes) {
-    core_.set_precommitted(std::move(mask), std::move(outcomes));
-  }
-
-  std::size_t stolen_cells() const { return core_.stolen_cells(); }
-  std::size_t stolen_cells_last_run() const {
-    return core_.stolen_cells_last_run();
-  }
-  std::size_t readmitted_workers() const {
-    return core_.readmitted_workers();
-  }
-  std::size_t readmitted_workers_last_run() const {
-    return core_.readmitted_workers_last_run();
-  }
-
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn) const override;
-
- private:
-  static std::vector<Lane*> raw_lanes(
-      const std::vector<std::unique_ptr<Lane>>& lanes);
-
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  mutable DispatchCore core_;
 };
 
 }  // namespace rbx

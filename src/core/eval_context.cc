@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <exception>
 #include <stdexcept>
+#include <utility>
 
 #include "support/io.h"
 
@@ -168,9 +169,11 @@ void StreamPool::execute(Job& job, std::size_t index) {
     error = std::current_exception();
   }
   // The owner may destroy `job` as soon as it sees unfinished == 0, which
-  // it can only read under this lock: nothing touches `job` after it.
+  // it can only read under this lock: nothing touches `job` after it.  The
+  // error moves into the job, so no reference is dropped after the unlock
+  // - the owner may already be rethrowing (and freeing) that exception.
   std::lock_guard<std::mutex> lock(mutex_);
-  job.errors[index] = error;
+  job.errors[index] = std::move(error);
   if (--job.unfinished == 0) {
     finished_.notify_all();
   }

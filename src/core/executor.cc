@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/dispatch.h"
-#include "core/lane.h"
 #include "support/check.h"
 
 namespace rbx {
@@ -23,47 +21,6 @@ CellOutcome evaluate_cell(const CellFn& cell_fn, const Scenario& cell,
     out.error = "cell_fn threw a non-standard exception";
   }
   return out;
-}
-
-// --- InProcessExecutor ---------------------------------------------------
-//
-// A DispatchCore over one ThreadLane: no batching knobs, no stealing, no
-// handshakes - the simplest lane configuration there is.
-
-InProcessExecutor::InProcessExecutor(Options options)
-    : threads_(options.threads) {
-  if (threads_ == 0) {
-    threads_ = default_parallelism();
-  }
-}
-
-std::vector<CellOutcome> InProcessExecutor::run(
-    const std::vector<Scenario>& cells, const CellFn& cell_fn) const {
-  ThreadLane lane(threads_);
-  DispatchCore core({&lane}, DispatchOptions());
-  return core.run(cells, cell_fn);
-}
-
-// --- MultiProcessExecutor ------------------------------------------------
-//
-// A DispatchCore over one ForkLane: the shared scheduler brings adaptive
-// batching, crash recovery with respawn, and (for HybridExecutor users)
-// work stealing to forked workers for free.
-
-MultiProcessExecutor::MultiProcessExecutor(Options options)
-    : workers_(options.workers), batch_size_(options.batch_size) {
-  if (workers_ == 0) {
-    workers_ = default_parallelism();
-  }
-}
-
-std::vector<CellOutcome> MultiProcessExecutor::run(
-    const std::vector<Scenario>& cells, const CellFn& cell_fn) const {
-  ForkLane lane(workers_);
-  DispatchOptions options;
-  options.batch_size = batch_size_;
-  DispatchCore core({&lane}, options);
-  return core.run(cells, cell_fn);
 }
 
 // --- batch payloads ------------------------------------------------------

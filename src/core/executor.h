@@ -1,33 +1,25 @@
-// Executor: how a batch of sweep cells gets evaluated.
+// The currency of sweep evaluation, shared by every lane and by
+// DispatchCore (core/dispatch.h), the one scheduler that evaluates cells:
 //
-// SweepEngine (core/sweep.h) expands grids and owns the determinism
-// contract - per-cell seeds depend only on (master_seed, cell_index), and
-// results land in input order.  Executor is the seam below it that decides
-// *where* the cells run.  Every executor is a lane configuration over the
-// one shared scheduler, core::DispatchCore (core/dispatch.h):
+//   CellFn / CellOutcome   how a cell is evaluated, and its result - a
+//                          ResultSet or a per-cell error string (a thrown
+//                          cell_fn, or a cell that was in flight on two
+//                          workers that died);
+//   CellBatch / ResultBatch
+//                          the kCellBatch / kResultBatch frames a
+//                          coordinator exchanges with thread, fork and
+//                          remote workers;
+//   ShardSpec / ShardPartial / PartialMerger
+//                          the multi-host split: shard i of k owns the
+//                          cells with index % k == i, evaluates only
+//                          those, and writes a partial result file;
+//                          merge_shard_partials() reassembles the full
+//                          result vector bitwise identical to an
+//                          unsharded run.
 //
-//   InProcessExecutor     one ThreadLane - worker threads inside this
-//                         process, each serving framed cell batches over
-//                         a socketpair;
-//   MultiProcessExecutor  one ForkLane - forked worker processes
-//                         (process isolation: an aborting cell cannot
-//                         take the sweep down), respawned on crash;
-//   net::ClusterExecutor  one TcpLane - remote sweep_workerd daemons
-//                         (net/cluster.h);
-//   HybridExecutor        any mix of the above in a single sweep
-//                         (core/dispatch.h).
-//
-// Every executor returns one CellOutcome per cell, in cell order: either a
-// ResultSet or a per-cell error string (a thrown cell_fn, or a cell that
-// was in flight on two workers that died).  Because the cells carry their
-// seeds and the wire codec round-trips doubles bit-exactly, the outcomes
-// are bitwise identical across executors - the contract
-// tests/core/executor_test.cc pins down.
-//
-// ShardSpec extends the same idea across hosts: shard i of k owns the
-// cells with index % k == i, evaluates only those, and writes a partial
-// result file; merge_shard_partials() reassembles the full result vector
-// bitwise identical to an unsharded run.
+// Because cells carry their seeds and the wire codec round-trips doubles
+// bit-exactly, outcomes are bitwise identical on every lane mix - the
+// contract tests/core/executor_test.cc pins down.
 #pragma once
 
 #include <cstddef>
@@ -61,79 +53,11 @@ struct CellOutcome {
 CellOutcome evaluate_cell(const CellFn& cell_fn, const Scenario& cell,
                           std::size_t index);
 
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  virtual std::string name() const = 0;
-
-  // Evaluates cell i as cell_fn(cells[i], i); outcomes in input order.
-  // Never throws for cell-level failures - those come back as per-cell
-  // errors; only infrastructure failures (fork/pipe) throw.
-  virtual std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                                       const CellFn& cell_fn) const = 0;
-};
-
-// Worker threads inside the calling process (a DispatchCore over one
-// ThreadLane).
-class InProcessExecutor final : public Executor {
- public:
-  struct Options {
-    // Worker threads; 0 = std::thread::hardware_concurrency().
-    std::size_t threads = 0;
-  };
-
-  InProcessExecutor() : InProcessExecutor(Options()) {}
-  explicit InProcessExecutor(Options options);
-
-  std::string name() const override { return "in-process"; }
-  std::size_t threads() const { return threads_; }
-
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn) const override;
-
- private:
-  std::size_t threads_;
-};
-
-// Forked worker processes fed cell batches over socketpairs (a
-// DispatchCore over one ForkLane).
-//
-// Work is dealt as kCellBatch frames (cell index + wire-encoded
-// Scenario); a child decodes each cell, evaluates it and answers with one
-// kResultBatch frame (index + ResultSet, or index + error string for a
-// throwing cell_fn), then blocks on the next request.  A child that
-// crashes mid-batch is respawned and its cells re-queued; a cell that
-// kills two workers in a row is declared poisonous and becomes a
-// per-cell error - never a hung sweep, never a shrinking pool.
-class MultiProcessExecutor final : public Executor {
- public:
-  struct Options {
-    // Worker processes; 0 = std::thread::hardware_concurrency().
-    std::size_t workers = 0;
-    // Cells per batch frame; 0 = automatic (roughly 4 batches per worker).
-    std::size_t batch_size = 0;
-  };
-
-  MultiProcessExecutor() : MultiProcessExecutor(Options()) {}
-  explicit MultiProcessExecutor(Options options);
-
-  std::string name() const override { return "multi-process"; }
-  std::size_t workers() const { return workers_; }
-
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn) const override;
-
- private:
-  std::size_t workers_;
-  std::size_t batch_size_;
-};
-
 // --- batch payloads ------------------------------------------------------
 //
 // The request/response currency between a coordinator and its workers -
-// forked children on socketpairs (MultiProcessExecutor) and remote daemons
-// on TCP (net/cluster.h) exchange the same kCellBatch / kResultBatch
+// threads and forked children on socketpairs (core/lane.h) and remote
+// daemons on TCP (net/cluster.h) exchange the same kCellBatch / kResultBatch
 // frames, encoded by the codecs below.  A cell optionally carries an
 // EvalPlan: forked children inherit the sweep's cell_fn closure and need
 // none, while a remote daemon has no access to bench code and evaluates
@@ -177,7 +101,7 @@ struct ResultBatch {
 // its whole batch elsewhere.
 //
 // `committed` is the per-cell in-flight bookkeeping a coordinator that
-// replicates cells needs (work stealing in net/cluster.cc dispatches a
+// replicates cells needs (work stealing in core/dispatch.cc dispatches a
 // straggler's unanswered tail to a second worker, so the same cell can be
 // answered twice): when non-null, an entry whose cell already has
 // committed[index] set is a late duplicate and is ignored - the first
@@ -271,7 +195,7 @@ class PartialMerger {
 std::vector<ResultSet> merge_shard_partials(
     const std::vector<ShardPartial>& partials);
 
-// Wire frame types used by the executor layer and shard files.
+// Wire frame types of the batch payloads and shard files.
 inline constexpr std::uint16_t kFrameCellBatch = 1;
 inline constexpr std::uint16_t kFrameResultBatch = 2;
 inline constexpr std::uint16_t kFrameShardPartial = 3;

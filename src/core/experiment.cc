@@ -453,9 +453,9 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
                  "--merge peer)\n",
                  static_cast<unsigned>(shard_listener_->port()));
   }
-  // Compose the execution lanes.  One executor serves the whole bench
-  // run: its lanes (and a TCP lane's worker connections, including the
-  // knowledge of which workers died) persist across sweeps.
+  // Compose the execution lanes.  They serve the whole bench run: a TCP
+  // lane's worker connections, including the knowledge of which workers
+  // died, persist across sweeps.
   // The pre-shared fleet key (--auth-key-file); an unreadable or empty
   // key file is an environment failure, reported before any lane dials.
   std::string auth_key;
@@ -467,24 +467,23 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
       std::exit(1);
     }
   }
-  std::vector<std::unique_ptr<Lane>> lanes;
   if (opts_.workers > 0) {
     // Fork lane first: raising children before the thread lane spawns
     // threads keeps each sweep's forks cheap and predictable.
-    lanes.push_back(std::make_unique<ForkLane>(opts_.workers));
+    lanes_.push_back(std::make_unique<ForkLane>(opts_.workers));
   }
   if (opts_.threads_given ||
       (opts_.workers == 0 && opts_.connect.empty() && !opts_.fleet_given)) {
-    lanes.push_back(std::make_unique<ThreadLane>(opts_.threads));
+    lanes_.push_back(std::make_unique<ThreadLane>(opts_.threads));
   }
   if (!opts_.connect.empty()) {
     net::TcpLaneOptions tcp;
     tcp.endpoints = opts_.connect;
     // With local lanes present, an unreachable pool degrades the sweep
     // instead of killing it; a --connect-only run still fails loudly.
-    tcp.required = lanes.empty();
+    tcp.required = lanes_.empty();
     tcp.auth_key = auth_key;
-    lanes.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
+    lanes_.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
     remote_lanes_ = true;
   }
   if (opts_.fleet_given) {
@@ -492,8 +491,8 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
     flt.registry = opts_.fleet;
     flt.auth_key = auth_key;
     flt.max_workers = static_cast<std::uint32_t>(opts_.fleet_workers);
-    flt.required = lanes.empty();
-    lanes.push_back(std::make_unique<fleet::FleetLane>(std::move(flt)));
+    flt.required = lanes_.empty();
+    lanes_.push_back(std::make_unique<fleet::FleetLane>(std::move(flt)));
     remote_lanes_ = true;
   }
   DispatchOptions dispatch;
@@ -502,8 +501,11 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
   dispatch.handshake_timeout_ms =
       static_cast<int>(opts_.handshake_timeout_ms);
   dispatch.no_cache = opts_.no_cache;
-  executor_ =
-      std::make_unique<HybridExecutor>(std::move(lanes), dispatch);
+  std::vector<Lane*> lanes;
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    lanes.push_back(lane.get());
+  }
+  core_.emplace(std::move(lanes), dispatch);
 
   // Crash durability.  --resume runs the journal's analysis pass up front
   // (an unreadable or foreign journal is refused before any cell runs)
@@ -555,16 +557,17 @@ std::uint16_t SweepRunner::shard_serve_port() const {
 
 std::vector<CellOutcome> SweepRunner::evaluate(
     const std::vector<Scenario>& cells, const CellFn& cell_fn,
-    const PlanFn* plan_fn) const {
+    const PlanFn* plan_fn) {
   try {
     if (remote_lanes_ && plan_fn == nullptr) {
       std::fprintf(stderr,
-                   "--connect: this sweep evaluates through a local-only "
-                   "cell function and cannot run on remote workers\n");
+                   "--connect/--fleet: this sweep evaluates through a "
+                   "local-only cell function and cannot run on remote "
+                   "workers\n");
       std::exit(2);
     }
-    executor_->set_plan_fn(plan_fn != nullptr ? *plan_fn : PlanFn());
-    return executor_->run(cells, cell_fn);
+    core_->set_plan_fn(plan_fn != nullptr ? *plan_fn : PlanFn());
+    return core_->run(cells, cell_fn).outcomes;
   } catch (const std::exception& e) {
     // Infrastructure failures (no reachable workers, fork/poll failure)
     // are not per-cell errors; die loudly instead of unwinding through
@@ -581,7 +584,7 @@ std::optional<std::vector<ResultSet>> SweepRunner::run(
 
 std::optional<std::vector<ResultSet>> SweepRunner::run(
     const std::vector<Scenario>& cells, const PlanFn& plan_fn) {
-  // Local executors run the exact same plans through evaluate_plan, which
+  // Local lanes run the exact same plans through evaluate_plan, which
   // is what makes --threads/--workers/--connect byte-identical.
   const CellFn cell_fn = [&plan_fn](const Scenario& s, std::size_t i) {
     return evaluate_plan(plan_fn(s, i), s);
@@ -769,8 +772,7 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
           seeded[i].result = std::move(plan.results[i]);
         }
       }
-      executor_->set_precommitted(std::move(plan.committed),
-                                  std::move(seeded));
+      core_->set_precommitted(std::move(plan.committed), std::move(seeded));
       std::fprintf(stderr,
                    "journal: sweep %zu: %zu/%zu cells already committed, "
                    "evaluating %zu\n",
@@ -790,7 +792,7 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
       std::exit(1);
     }
     recov::JournalWriter* journal = journal_.get();
-    executor_->set_commit_hook(
+    core_->set_commit_hook(
         [journal, section](std::size_t index, const CellOutcome& outcome) {
           // Only real results are journaled: an errored cell must be
           // re-evaluated by a resumed run, not replayed as an error.

@@ -4,17 +4,18 @@
 // Every bench runs with no arguments and prints the paper's rows to stdout;
 // the flags below let a user trade precision for time and pick where the
 // sweep cells execute.  Execution lanes *compose*: any mix of --threads,
-// --workers and --connect runs as one sweep over the shared dispatch core
-// (core/dispatch.h), byte-identical to a single-threaded run.
+// --workers and --connect (or --fleet) runs as one sweep over the shared
+// dispatch core (core/dispatch.h), byte-identical to a single-threaded
+// run.
 //   --samples=N    Monte-Carlo sample count (lines / failures / commits)
 //   --streams=K    partition every cell's Monte-Carlo budget into K
 //                  deterministic RNG sub-streams (Scenario::streams),
-//                  evaluated sample-parallel on each worker's intra-cell
-//                  thread budget and merged in fixed stream order.  For a
-//                  given K the output is bitwise identical on any lane and
-//                  any thread count; K=1 (the default) is bitwise
-//                  identical to earlier releases.  Different K are
-//                  different (equally valid) sample partitions
+//                  evaluated sample-parallel on the worker's StreamPool
+//                  (core/eval_context.h) and merged in fixed stream
+//                  order.  For a given K the output is bitwise identical
+//                  on any lane and any thread count; K=1 (the default) is
+//                  bitwise identical to earlier releases.  Different K
+//                  are different (equally valid) sample partitions
 //   --nmax=N       largest process count in sweeps
 //   --seed=N       master RNG seed
 //   --threads=N    a lane of N in-process worker threads (the default
@@ -83,18 +84,18 @@
 //                  identical to an uninterrupted run.  A journal written
 //                  by a different sweep (grid fingerprint mismatch, e.g.
 //                  other --samples/--seed) is refused loudly with exit 2
-//   --no-cache     ask --connect daemons to bypass their --cache-dir
-//                  result cache for this run's sessions (fresh
+//   --no-cache     ask --connect or --fleet daemons to bypass their
+//                  --cache-dir result cache for this run's sessions (fresh
 //                  evaluations; the answers are bitwise identical either
 //                  way)
 //
 // Parsing is strict: an unknown flag, a malformed number, a negative value,
-// --threads=0, --streams=0, --shard=3/2, --connect=host (no port), --steal without a
-// worker lane, --journal together with --resume, either with --shard or
-// --merge (they evaluate elsewhere or not at all), or --no-cache without a
-// --connect lane prints a usage message to stderr and exits with status 2
-// (a typo'd flag silently falling back to defaults once cost a day of
-// benchmarking against the wrong sample count).
+// --threads=0, --streams=0, --shard=3/2, --connect=host (no port), --steal
+// without a worker lane, --journal together with --resume, either with
+// --shard or --merge (they evaluate elsewhere or not at all), or --no-cache
+// without a --connect or --fleet lane prints a usage message to stderr and
+// exits with status 2 (a typo'd flag silently falling back to defaults
+// once cost a day of benchmarking against the wrong sample count).
 #pragma once
 
 #include <cstddef>
@@ -105,13 +106,13 @@
 #include <vector>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/result.h"
 #include "net/socket.h"
 
 namespace rbx {
-
-class HybridExecutor;  // core/dispatch.h; kept out of every bench TU
 
 namespace net {
 class FrameConn;  // net/frame.h
@@ -163,10 +164,10 @@ struct ExperimentOptions {
 // Drives every sweep of one bench invocation under the execution mode the
 // flags selected:
 //
-//   normal      evaluate all cells on the composed lanes (threads by
-//               default; forked workers with --workers; remote daemons
-//               with --connect; any mix of the three at once) and hand
-//               the results back;
+//   normal      evaluate all cells on the composed lanes (a ThreadLane by
+//               default; a ForkLane with --workers; a TcpLane with
+//               --connect or a FleetLane with --fleet; any mix at once)
+//               through one DispatchCore and hand the results back;
 //   --shard=i/k evaluate only the owned cells of each sweep, append one
 //               ShardPartial section per run() call to the partial file
 //               (or stream it to the --merge peer with --shard-serve),
@@ -182,10 +183,10 @@ struct ExperimentOptions {
 // exits 1 - a bench table with silently missing rows would be worse.
 //
 // The PlanFn overload is the preferred one: a plan (core/backend.h) is the
-// sweep's evaluation recipe as data, which is what lets --connect ship
-// cells to sweep_workerd daemons that have no access to the bench binary.
-// The CellFn overload stays for local-only sweeps (arbitrary closures) and
-// exits 2 under --connect.
+// sweep's evaluation recipe as data, which is what lets --connect and
+// --fleet ship cells to sweep_workerd daemons that have no access to the
+// bench binary.  The CellFn overload stays for local-only sweeps
+// (arbitrary closures) and exits 2 under --connect or --fleet.
 //
 //   SweepRunner runner(opts);
 //   const auto results = runner.run(cells, plan_fn);
@@ -198,7 +199,7 @@ class SweepRunner {
   // process threads); 0 keeps the hardware-concurrency default.
   explicit SweepRunner(const ExperimentOptions& opts,
                        std::size_t default_threads = 0);
-  ~SweepRunner();  // out of line: HybridExecutor is forward-declared here
+  ~SweepRunner();  // out of line: the recov types are forward-declared
 
   // Local-only: cells evaluate through an arbitrary closure.
   std::optional<std::vector<ResultSet>> run(
@@ -224,7 +225,7 @@ class SweepRunner {
       const PlanFn* plan_fn);
   std::vector<CellOutcome> evaluate(const std::vector<Scenario>& cells,
                                     const CellFn& cell_fn,
-                                    const PlanFn* plan_fn) const;
+                                    const PlanFn* plan_fn);
 
   ExperimentOptions opts_;
   std::size_t sweep_index_ = 0;
@@ -232,10 +233,12 @@ class SweepRunner {
   std::unique_ptr<net::Listener> shard_listener_;  // --shard-serve
   std::unique_ptr<net::FrameConn> shard_conn_;     // the one merge peer
   std::vector<std::unique_ptr<MergeSource>> merge_sources_;
-  // One executor for the whole bench run: its lanes (and a TCP lane's
-  // worker connections) persist across sweeps.  Null in merge mode.
-  std::unique_ptr<HybridExecutor> executor_;
-  bool remote_lanes_ = false;  // a --connect lane exists: plans required
+  // The lanes serve the whole bench run (a TCP lane's worker connections
+  // persist across sweeps); the core over them is declared after them so
+  // it is destroyed first.  No lanes and no core in merge mode.
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::optional<DispatchCore> core_;
+  bool remote_lanes_ = false;  // a --connect/--fleet lane: plans required
   // Crash durability (--journal / --resume): the writer appends a record
   // per committed cell; the recovered analysis seeds resumed sweeps.
   std::unique_ptr<recov::JournalWriter> journal_;

@@ -16,7 +16,13 @@
 //   TcpLane      remote sweep_workerd daemons (net/cluster.h) - cells
 //                carry EvalPlans, sweeps open with a versioned Hello
 //                handshake, and a lost endpoint is re-admitted mid-sweep
-//                once it reconnects and re-handshakes.
+//                once it reconnects and re-handshakes;
+//   FleetLane    remote daemons resolved from a fleet registry at sweep
+//                start (fleet/lane.h) - the same protocol as TcpLane, with
+//                a signed lease in the Hello, and a worker lost mid-sweep
+//                is backfilled by any other registry member.
+//
+// The caller owns its lanes and hands DispatchCore raw pointers to them.
 //
 // The handshake frames (Hello / HelloAck / Error) live here rather than
 // in net/ because the shared dispatch loop validates acks itself; they
@@ -40,8 +46,8 @@
 namespace rbx {
 
 // --- cluster control frames ----------------------------------------------
-// (the executor data frames kFrameCellBatch/kFrameResultBatch/
-// kFrameShardPartial are 1..3, in core/executor.h)
+// (the data frames kFrameCellBatch/kFrameResultBatch/kFrameShardPartial
+// are 1..3, in core/executor.h)
 
 inline constexpr std::uint16_t kFrameHello = 16;
 inline constexpr std::uint16_t kFrameHelloAck = 17;
@@ -280,7 +286,7 @@ class ForkLane final : public Lane {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-// Hardware-concurrency default shared by the lanes and executors.
+// Hardware-concurrency default shared by the lanes.
 std::size_t default_parallelism();
 
 }  // namespace rbx

@@ -25,7 +25,7 @@
 //
 // Deterministic: the same scenario (seed, streams included) produces
 // bitwise identical results on any thread count of any machine - the
-// property the SweepEngine determinism and stream tests pin down.
+// property the sweep determinism and stream tests pin down.
 #pragma once
 
 #include "core/backend.h"

@@ -70,7 +70,7 @@ class ResultSet {
   static ResultSet decode(wire::Reader& r);
 
   // Exact (bitwise) equality of all metric names, values, half-widths and
-  // counts - the determinism contract checked by the SweepEngine tests.
+  // counts - the determinism contract checked by the sweep tests.
   friend bool operator==(const ResultSet& a, const ResultSet& b);
   friend bool operator!=(const ResultSet& a, const ResultSet& b) {
     return !(a == b);

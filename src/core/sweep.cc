@@ -1,7 +1,5 @@
 #include "core/sweep.h"
 
-#include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "support/check.h"
@@ -17,36 +15,6 @@ std::uint64_t derive_cell_seed(std::uint64_t master_seed,
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   SplitMix64 stream(master_seed + cell_index * kGolden);
   return stream.next();
-}
-
-SweepEngine::SweepEngine(Options options) : threads_(options.threads) {
-  if (threads_ == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads_ = hw > 0 ? hw : 1;
-  }
-}
-
-std::vector<ResultSet> SweepEngine::run(const std::vector<Scenario>& cells,
-                                        const CellFn& cell_fn) const {
-  std::vector<CellOutcome> outcomes =
-      InProcessExecutor({threads_}).run(cells, cell_fn);
-  std::vector<ResultSet> results;
-  results.reserve(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].ok()) {
-      throw std::runtime_error("sweep cell " + std::to_string(i) +
-                               " failed: " + outcomes[i].error);
-    }
-    results.push_back(std::move(outcomes[i].result));
-  }
-  return results;
-}
-
-std::vector<ResultSet> SweepEngine::run(const std::vector<Scenario>& cells,
-                                        const EvalBackend& backend) const {
-  return run(cells, [&backend](const Scenario& s, std::size_t) {
-    return backend.evaluate(s);
-  });
 }
 
 SweepGrid::SweepGrid(Scenario base) : base_(std::move(base)) {}

@@ -1,42 +1,24 @@
-// SweepEngine: parameter-grid expansion and parallel scenario evaluation.
+// Parameter-grid expansion with deterministic per-cell seeds.
 //
 // Every bench in this repository is a sweep: vary (n, rho, failure rate,
 // scheme, ...) over a grid, evaluate each cell, print a table.  SweepGrid
 // expands a base Scenario and a list of axes into the cartesian product of
-// cells; SweepEngine evaluates a cell batch on a thread pool.  Two
-// properties make the results independent of the thread count:
-//
-//  * per-cell seeds are derived deterministically from the master seed and
-//    the cell index (derive_cell_seed, a splitmix64 output - cells get
-//    decorrelated streams and cell i's seed never depends on how many
-//    cells or threads there are);
-//  * cells are evaluated independently (the backends are stateless) and
-//    results land in input order.
-//
-// So `engine.run(grid.expand(seed), monte_carlo_backend())` is bitwise
-// reproducible whether it runs on 1 thread or 64 - the contract
-// tests/core/sweep_test.cc pins down, and what lets benches parallelize
-// without changing their printed reference values.
-//
-// SweepEngine delegates the actual evaluation to an Executor
-// (core/executor.h): by default InProcessExecutor (a thread lane over the
-// shared DispatchCore), and the same cells can go through forked workers,
-// remote daemons, any hybrid lane mix (core/dispatch.h) or a ShardSpec
-// split without changing a single printed digit.  A cell_fn that throws
-// is rethrown on the calling thread (as std::runtime_error naming the
-// cell) once the remaining cells finish - it no longer std::terminates a
-// worker thread.
+// cells, each seeded by derive_cell_seed - a splitmix64 output that is a
+// pure function of (master seed, cell index), so cells get decorrelated
+// streams and cell i's seed never depends on how many cells or threads
+// there are.  Cells are evaluated independently (the backends are
+// stateless) by DispatchCore (core/dispatch.h), which returns results in
+// input order; so a grid's results are bitwise reproducible on 1 thread
+// or 64, on forked workers, remote daemons, any lane mix or a ShardSpec
+// split - what lets benches parallelize without changing their printed
+// reference values.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "core/backend.h"
-#include "core/executor.h"
-#include "core/result.h"
 #include "core/scenario.h"
 
 namespace rbx {
@@ -45,33 +27,6 @@ namespace rbx {
 // the RNG seed of cell i.  Pure function of (master_seed, cell_index).
 std::uint64_t derive_cell_seed(std::uint64_t master_seed,
                                std::uint64_t cell_index);
-
-class SweepEngine {
- public:
-  struct Options {
-    // Worker threads; 0 = std::thread::hardware_concurrency().
-    std::size_t threads = 0;
-  };
-
-  SweepEngine() : SweepEngine(Options()) {}
-  explicit SweepEngine(Options options);
-
-  std::size_t threads() const { return threads_; }
-
-  // Evaluates cell i as cell_fn(cells[i], i); results in input order.
-  // cell_fn must be safe to call concurrently (pure backends are).  If any
-  // cell_fn invocation throws, the first failure (in cell order) is
-  // rethrown as std::runtime_error after all cells have been attempted.
-  std::vector<ResultSet> run(const std::vector<Scenario>& cells,
-                             const CellFn& cell_fn) const;
-
-  // Shorthand: evaluate every cell on one backend.
-  std::vector<ResultSet> run(const std::vector<Scenario>& cells,
-                             const EvalBackend& backend) const;
-
- private:
-  std::size_t threads_;
-};
 
 // Cartesian-product expansion of a base Scenario.
 //

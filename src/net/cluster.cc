@@ -121,44 +121,5 @@ void TcpLane::finish() {
   // have died) survive into the next sweep.
 }
 
-// --- ClusterExecutor -------------------------------------------------------
-
-namespace {
-
-TcpLaneOptions lane_options(const ClusterOptions& options) {
-  TcpLaneOptions out;
-  out.endpoints = options.endpoints;
-  out.connect_retries = options.connect_retries;
-  out.quiet = options.quiet;
-  out.required = true;
-  out.readmit_delay_ms = options.readmit_delay_ms;
-  out.auth_key = options.auth_key;
-  return out;
-}
-
-DispatchOptions core_options(const ClusterOptions& options) {
-  DispatchOptions out;
-  out.batch_size = options.batch_size;
-  out.steal = options.steal;
-  out.handshake_timeout_ms = options.handshake_timeout_ms;
-  out.quiet = options.quiet;
-  out.readmit = options.readmit;
-  out.readmit_max_attempts = options.readmit_max_attempts;
-  return out;
-}
-
-}  // namespace
-
-ClusterExecutor::ClusterExecutor(ClusterOptions options)
-    : lane_(std::make_unique<TcpLane>(lane_options(options))),
-      core_({lane_.get()}, core_options(options)) {}
-
-ClusterExecutor::~ClusterExecutor() = default;
-
-std::vector<CellOutcome> ClusterExecutor::run(
-    const std::vector<Scenario>& cells, const CellFn& cell_fn) const {
-  return core_.run(cells, cell_fn);
-}
-
 }  // namespace net
 }  // namespace rbx

@@ -1,5 +1,5 @@
-// The TCP lane of the dispatch layer, and ClusterExecutor - one sweep
-// spanning many hosts.
+// TcpLane: the --connect lane of the dispatch layer - one sweep spanning
+// many hosts.
 //
 // TcpLane turns remote sweep_workerd daemons into dispatch workers
 // (core/lane.h): each endpoint is one LaneWorker whose FrameChannel is a
@@ -13,18 +13,15 @@
 // streaming merge of kResultBatch frames as they arrive, worker-loss
 // recovery that re-queues in-flight cells to the survivors, straggler
 // work stealing, the parallel deadline handshake - lives in the shared
-// core::DispatchCore; this file only supplies the workers.  What the TCP
-// lane adds on top is *re-admission*, the paper's backward error recovery
-// applied to the pool itself: a lost endpoint (dead socket, hung
+// DispatchCore (core/dispatch.h); this file only supplies the workers.
+// What the TCP lane adds on top is *re-admission*, the paper's backward
+// error recovery applied to the pool itself: a lost endpoint (dead socket, hung
 // handshake, demoted mid-sweep) is reconnected on a doubling backoff
 // timer without ever blocking the live sweep (non-blocking connect,
 // finished in the dispatch poll loop), re-handshaken against the same
 // grid fingerprint, and rejoins the live pool, taking queue or stolen
 // work.  Per-cell seeds make recovery, stealing and re-admission all
 // invisible in the printed tables.
-//
-// ClusterExecutor is the --connect=host:port,... lane configuration: one
-// TcpLane over a DispatchCore behind the plain Executor interface.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dispatch.h"
-#include "core/executor.h"
 #include "core/lane.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -86,77 +81,6 @@ class TcpLane final : public Lane {
   TcpLaneOptions options_;
   bool connected_ = false;
   std::vector<std::unique_ptr<Remote>> remotes_;
-};
-
-struct ClusterOptions {
-  std::vector<Endpoint> endpoints;  // one per worker daemon
-  std::size_t batch_size = 0;       // cells per batch; 0 = adaptive
-  // Extra connect attempts (200 ms apart) per endpoint, riding out
-  // workers that are still starting up.
-  int connect_retries = 10;
-  bool quiet = false;  // no stderr notes on worker loss
-  // Re-dispatch a straggler's unanswered tail to idle workers once the
-  // queue is empty (duplicate answers are deduped; output is unchanged).
-  bool steal = false;
-  // How long the per-sweep Hello may go unanswered before the worker is
-  // demoted to "lost" (it accepted TCP but never spoke the protocol).
-  // Must comfortably exceed a straggler's worst batch time, since a
-  // stolen-from worker flushes its stale answers ahead of the ack.
-  int handshake_timeout_ms = 10000;
-  // Mid-sweep re-admission of lost workers (see TcpLaneOptions).
-  bool readmit = true;
-  int readmit_delay_ms = 500;
-  int readmit_max_attempts = 5;
-  // Pre-shared key for authenticated daemons (see TcpLaneOptions).
-  std::string auth_key;
-};
-
-// The --connect lane configuration: one TcpLane over a DispatchCore.
-class ClusterExecutor final : public Executor {
- public:
-  explicit ClusterExecutor(ClusterOptions options);
-  ~ClusterExecutor() override;
-
-  std::string name() const override { return "cluster"; }
-
-  // How remote workers evaluate cells.  Must be set before run() - the
-  // cell_fn passed to run() is a local closure the remote side cannot
-  // execute, so evaluation goes through serializable plans instead
-  // (core/backend.h); SweepRunner sets this per sweep.
-  void set_plan_fn(PlanFn plan_fn) { core_.set_plan_fn(std::move(plan_fn)); }
-
-  // Workers still connected (before the first run: endpoints configured).
-  std::size_t live_workers() const { return lane_->live(); }
-
-  // Cells ever re-dispatched from a straggler to an idle worker: the
-  // lifetime total across run() calls, and the last run() alone (tests
-  // and smoke scripts assert the steal path actually fired; duplicated
-  // evaluation never shows in the output).
-  std::size_t stolen_cells() const { return core_.stolen_cells(); }
-  std::size_t stolen_cells_last_run() const {
-    return core_.stolen_cells_last_run();
-  }
-
-  // Lost workers revived and re-admitted mid-sweep, same split.
-  std::size_t readmitted_workers() const {
-    return core_.readmitted_workers();
-  }
-  std::size_t readmitted_workers_last_run() const {
-    return core_.readmitted_workers_last_run();
-  }
-
-  // Evaluates every cell on the remote workers; outcomes in cell order,
-  // bitwise identical to InProcessExecutor running the same plans.  The
-  // cell_fn argument is unused (see set_plan_fn).  Throws net::Error if
-  // no worker is reachable and std::runtime_error if no plan function is
-  // set; worker loss mid-sweep is recovered - and the worker re-admitted
-  // when it comes back - not thrown.
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn) const override;
-
- private:
-  std::unique_ptr<TcpLane> lane_;
-  mutable DispatchCore core_;
 };
 
 }  // namespace net

@@ -8,8 +8,8 @@
 //
 // Errors are net::Error (a std::runtime_error): a refused connection, an
 // unresolvable host or a failed bind are infrastructure failures the
-// caller decides how to survive - the ClusterExecutor skips dead
-// endpoints, the worker daemon exits.
+// caller decides how to survive - the TCP lane skips dead endpoints,
+// the worker daemon exits.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "numerics/poisson.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "support/check.h"
@@ -8,9 +10,12 @@ namespace rbx {
 
 namespace {
 
-// ln k! via lgamma.
+// ln k! via lgamma_r: std::lgamma writes glibc's global signgam, a data
+// race when cells evaluate on several threads; the reentrant form returns
+// the same value and keeps the sign local.
 double log_factorial(std::size_t k) {
-  return std::lgamma(static_cast<double>(k) + 1.0);
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(k) + 1.0, &sign);
 }
 
 double log_pmf(std::size_t k, double mean) {

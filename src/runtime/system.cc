@@ -241,6 +241,7 @@ struct RecoverySystem::Impl {
     const std::uint64_t gen = resume_gen;
     control_cv.wait(lock, [this, gen] { return resume_gen != gen; });
     --parked;
+    control_cv.notify_all();  // a next coordinator waits for parked == 0
     static_cast<void>(w);
   }
 
@@ -309,9 +310,15 @@ struct RecoverySystem::Impl {
 
   void coordinate_recovery(Worker& w) {
     ++w.stats.recoveries_started;
-    const std::uint64_t t_f = log.now();
+    std::uint64_t t_f = 0;
     {
-      const std::scoped_lock lock(control_mu);
+      std::unique_lock lock(control_mu);
+      // Workers the previous recovery parked may not have woken yet; were
+      // they counted as parked for this one, their state would be restored
+      // while they run.  The failure time is read once they have left, so
+      // what they did after that resume precedes it in the history.
+      control_cv.wait(lock, [this] { return parked == 0; });
+      t_f = log.now();
       pause = true;
       pause_hint.store(true, std::memory_order_relaxed);
     }

@@ -6,7 +6,6 @@
 // scoped_prp and the SyncPolicy fields survive the Scenario codec, which
 // is exactly what --workers/--connect rely on.
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,13 +64,13 @@ std::vector<ResultSet> direct_reference(const std::vector<Scenario>& cells) {
   return out;
 }
 
-void run_and_compare(std::vector<std::unique_ptr<Lane>> lanes) {
+void run_and_compare(Lane& lane) {
   const std::vector<Scenario> cells = ablation_cells();
   const std::vector<ResultSet> reference = direct_reference(cells);
   DispatchOptions options;
   options.quiet = true;
-  HybridExecutor executor(std::move(lanes), options);
-  const auto outcomes = executor.run(cells, plan_fn());
+  const auto outcomes =
+      DispatchCore({&lane}, options).run(cells, plan_fn()).outcomes;
   ASSERT_EQ(outcomes.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << "cell " << i << ": "
@@ -81,18 +80,16 @@ void run_and_compare(std::vector<std::unique_ptr<Lane>> lanes) {
 }
 
 TEST(AblationCrossModeTest, EightThreadsMatchDirectEvaluation) {
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ThreadLane>(8));
-  run_and_compare(std::move(lanes));
+  ThreadLane lane(8);
+  run_and_compare(lane);
 }
 
 TEST(AblationCrossModeTest, ForkedWorkersMatchDirectEvaluation) {
   // Four forked workers: every cell and result crosses the wire format,
   // so a lossy Scenario codec (e.g. a dropped prp_sync_period) would
   // break bitwise identity here before it broke a cluster run.
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ForkLane>(4));
-  run_and_compare(std::move(lanes));
+  ForkLane lane(4);
+  run_and_compare(lane);
 }
 
 }  // namespace

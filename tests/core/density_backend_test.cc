@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "des/async_sim.h"
 #include "model/async_model.h"
 #include "net/cluster.h"
@@ -98,8 +100,10 @@ TEST(DensityBackendTest, SweepIsBitwiseIdenticalAcrossExecutionModes) {
   const CellFn local = [&plan](const Scenario& s, std::size_t) {
     return evaluate_plan(plan, s);
   };
-  const auto serial = InProcessExecutor({1}).run(cells, local);
-  const auto threaded = InProcessExecutor({4}).run(cells, local);
+  ThreadLane one(1);
+  ThreadLane four(4);
+  const auto serial = DispatchCore({&one}).run(cells, local).outcomes;
+  const auto threaded = DispatchCore({&four}).run(cells, local).outcomes;
 
   net::WorkerOptions wopts;
   wopts.port = 0;
@@ -109,12 +113,15 @@ TEST(DensityBackendTest, SweepIsBitwiseIdenticalAcrossExecutionModes) {
   std::thread worker_thread([&worker]() { worker.serve(); });
   std::vector<CellOutcome> remote;
   {
-    net::ClusterOptions copts;
-    copts.endpoints = {{"127.0.0.1", worker.port()}};
-    copts.quiet = true;
-    net::ClusterExecutor cluster(std::move(copts));
-    cluster.set_plan_fn(plan_fn);
-    remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions topts;
+    topts.endpoints = {{"127.0.0.1", worker.port()}};
+    topts.quiet = true;
+    net::TcpLane tcp(std::move(topts));
+    DispatchOptions options;
+    options.quiet = true;
+    DispatchCore core({&tcp}, options);
+    core.set_plan_fn(plan_fn);
+    remote = core.run(cells, CellFn()).outcomes;
   }
   worker_thread.join();
 

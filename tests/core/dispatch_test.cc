@@ -1,12 +1,11 @@
 // The dispatch-core contract: any mix of lanes produces bitwise the same
 // outcomes as evaluating the cells directly in a serial loop, worker
 // crashes are recovered by respawn + re-admission instead of shrinking
-// the pool, and the scheduler's counters expose what recovery did.
+// the pool, and each run's SweepResult reports what recovery did.
 #include "core/dispatch.h"
 
 #include <unistd.h>
 
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -54,16 +53,15 @@ TEST(DispatchCoreTest, ThreadAndForkLanesTogetherMatchDirectEvaluation) {
   const CellFn fn = backend_fn();
   const std::vector<ResultSet> reference = direct_reference(cells, fn);
 
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ForkLane>(2));
-  lanes.push_back(std::make_unique<ThreadLane>(2));
+  ForkLane forks(2);
+  ThreadLane threads(2);
   DispatchOptions options;
   options.batch_size = 1;
   options.steal = true;  // legal on any multi-worker run now
   options.quiet = true;
-  HybridExecutor hybrid(std::move(lanes), options);
+  DispatchCore core({&forks, &threads}, options);
 
-  const auto outcomes = hybrid.run(cells, fn);
+  const auto outcomes = core.run(cells, fn).outcomes;
   ASSERT_EQ(outcomes.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << "cell " << i << ": "
@@ -73,13 +71,14 @@ TEST(DispatchCoreTest, ThreadAndForkLanesTogetherMatchDirectEvaluation) {
 }
 
 TEST(DispatchCoreTest, SingleThreadLaneMatchesDirectEvaluation) {
-  // The executor every sweep defaults to must reproduce the direct loop
-  // bit for bit even though cells now round-trip the wire format.
+  // The lane every sweep defaults to must reproduce the direct loop bit
+  // for bit even though cells now round-trip the wire format.
   const std::vector<Scenario> cells = mc_grid(29);
   const CellFn fn = backend_fn();
   const std::vector<ResultSet> reference = direct_reference(cells, fn);
 
-  const auto outcomes = InProcessExecutor({1}).run(cells, fn);
+  ThreadLane lane(1);
+  const auto outcomes = DispatchCore({&lane}).run(cells, fn).outcomes;
   ASSERT_EQ(outcomes.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
@@ -93,15 +92,14 @@ TEST(DispatchCoreTest, ForkWorkerRespawnCountsAsReadmission) {
   // rerun kills it again, and only then is the cell failed.  Everything
   // else still evaluates on the respawned workers.
   const std::vector<Scenario> cells(6, Scenario::symmetric(2, 1.0, 1.0));
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ForkLane>(1));
+  ForkLane lane(1);
   DispatchOptions options;
   options.batch_size = 1;
   options.quiet = true;
-  HybridExecutor hybrid(std::move(lanes), options);
+  DispatchCore core({&lane}, options);
 
-  const auto outcomes =
-      hybrid.run(cells, [](const Scenario& s, std::size_t i) {
+  const SweepResult sweep =
+      core.run(cells, [](const Scenario& s, std::size_t i) {
         if (i == 2) {
           ::_exit(77);
         }
@@ -109,6 +107,7 @@ TEST(DispatchCoreTest, ForkWorkerRespawnCountsAsReadmission) {
         out.set("index", static_cast<double>(i));
         return out;
       });
+  const std::vector<CellOutcome>& outcomes = sweep.outcomes;
   ASSERT_EQ(outcomes.size(), 6u);
   EXPECT_FALSE(outcomes[2].ok());
   EXPECT_NE(outcomes[2].error.find("two lost workers"), std::string::npos)
@@ -121,31 +120,37 @@ TEST(DispatchCoreTest, ForkWorkerRespawnCountsAsReadmission) {
                                   << outcomes[i].error;
   }
   // The pool was revived at least twice (once per kill).
-  EXPECT_GE(hybrid.readmitted_workers(), 2u);
-  EXPECT_EQ(hybrid.readmitted_workers_last_run(),
-            hybrid.readmitted_workers());
+  EXPECT_GE(sweep.readmitted_workers, 2u);
+  EXPECT_EQ(sweep.stolen_cells, 0u);
+
+  // The counters belong to the run, not the core: a clean second run on
+  // the same core reports none.
+  const std::vector<Scenario> clean(2, Scenario::symmetric(2, 1.0, 1.0));
+  const SweepResult again =
+      core.run(clean, [](const Scenario& s, std::size_t) {
+        return ResultSet("test", s.label());
+      });
+  EXPECT_EQ(again.readmitted_workers, 0u);
 }
 
 TEST(DispatchCoreTest, QuietRunWithoutFailuresLeavesCountersAtZero) {
   const std::vector<Scenario> cells = mc_grid(31);
   const CellFn fn = backend_fn();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ThreadLane>(4));
-  HybridExecutor hybrid(std::move(lanes), DispatchOptions());
-  const auto outcomes = hybrid.run(cells, fn);
-  for (const CellOutcome& outcome : outcomes) {
+  ThreadLane lane(4);
+  const SweepResult sweep = DispatchCore({&lane}).run(cells, fn);
+  for (const CellOutcome& outcome : sweep.outcomes) {
     EXPECT_TRUE(outcome.ok()) << outcome.error;
   }
-  EXPECT_EQ(hybrid.stolen_cells(), 0u);
-  EXPECT_EQ(hybrid.readmitted_workers(), 0u);
+  EXPECT_EQ(sweep.stolen_cells, 0u);
+  EXPECT_EQ(sweep.readmitted_workers, 0u);
 }
 
 TEST(DispatchCoreTest, NoLanesIsAnInfrastructureError) {
   const std::vector<Scenario> cells(2, Scenario::symmetric(2, 1.0, 1.0));
-  HybridExecutor hybrid({}, DispatchOptions());
-  EXPECT_THROW(hybrid.run(cells, backend_fn()), std::runtime_error);
+  DispatchCore core({});
+  EXPECT_THROW(core.run(cells, backend_fn()), std::runtime_error);
   // Empty input short-circuits before the lanes matter.
-  EXPECT_TRUE(hybrid.run({}, backend_fn()).empty());
+  EXPECT_TRUE(core.run({}, backend_fn()).outcomes.empty());
 }
 
 }  // namespace

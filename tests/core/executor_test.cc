@@ -1,4 +1,4 @@
-// The executor determinism contract: the same expanded grid produces
+// The evaluation determinism contract: the same expanded grid produces
 // bitwise-identical results on 1 thread, N threads, M forked worker
 // processes, and a sharded-then-merged split - plus the failure semantics
 // (throwing cell_fn -> per-cell error; crashed worker -> per-cell error,
@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
+#include "core/lane.h"
 #include "core/sweep.h"
 
 namespace rbx {
@@ -34,6 +36,14 @@ CellFn backend_fn() {
   };
 }
 
+// Evaluates `cells` on one lane under a fresh DispatchCore.
+std::vector<CellOutcome> run_on(Lane& lane, const std::vector<Scenario>& cells,
+                                const CellFn& fn, std::size_t batch = 0) {
+  DispatchOptions options;
+  options.batch_size = batch;
+  return DispatchCore({&lane}, options).run(cells, fn).outcomes;
+}
+
 std::vector<ResultSet> results_of(const std::vector<CellOutcome>& outcomes) {
   std::vector<ResultSet> out;
   for (const CellOutcome& outcome : outcomes) {
@@ -47,10 +57,12 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   const std::vector<Scenario> cells = mc_grid(17);
   const CellFn fn = backend_fn();
 
-  const auto serial = results_of(InProcessExecutor({1}).run(cells, fn));
-  const auto threaded = results_of(InProcessExecutor({8}).run(cells, fn));
-  const auto forked =
-      results_of(MultiProcessExecutor({4, 1}).run(cells, fn));
+  ThreadLane one(1);
+  ThreadLane eight(8);
+  ForkLane forks(4);
+  const auto serial = results_of(run_on(one, cells, fn));
+  const auto threaded = results_of(run_on(eight, cells, fn));
+  const auto forked = results_of(run_on(forks, cells, fn, /*batch=*/1));
 
   // Sharded: evaluate each half independently, then merge.
   std::vector<ShardPartial> partials;
@@ -62,8 +74,9 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
     for (std::size_t index : owned) {
       owned_cells.push_back(cells[index]);
     }
-    const auto outcomes = InProcessExecutor({2}).run(
-        owned_cells, [&](const Scenario& cell, std::size_t local) {
+    ThreadLane lane(2);
+    const auto outcomes = run_on(
+        lane, owned_cells, [&](const Scenario& cell, std::size_t local) {
           return fn(cell, owned[local]);
         });
     ShardPartial partial;
@@ -93,7 +106,8 @@ TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
   // frame -> decode(); pin that path, not just the in-memory merge.
   const std::vector<Scenario> cells = mc_grid(23);
   const CellFn fn = backend_fn();
-  const auto reference = results_of(InProcessExecutor({1}).run(cells, fn));
+  ThreadLane lane(1);
+  const auto reference = results_of(run_on(lane, cells, fn));
 
   std::vector<ShardPartial> partials;
   for (std::size_t shard_index = 0; shard_index < 3; ++shard_index) {
@@ -124,18 +138,20 @@ TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
   }
 }
 
-TEST(InProcessExecutorTest, EmptyCellsAndThreadsExceedingCells) {
+TEST(ThreadLaneTest, EmptyCellsAndThreadsExceedingCells) {
   const CellFn fn = [](const Scenario& s, std::size_t i) {
     ResultSet out("test", s.label());
     out.set("index", static_cast<double>(i));
     return out;
   };
-  EXPECT_TRUE(InProcessExecutor({4}).run({}, fn).empty());
+  ThreadLane four(4);
+  EXPECT_TRUE(run_on(four, {}, fn).empty());
 
-  // Far more threads than cells: must not spawn idle threads or lose
-  // cells; outcomes stay in input order.
+  // Far more threads than cells: must not lose cells; outcomes stay in
+  // input order.
   const std::vector<Scenario> cells(3, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = InProcessExecutor({64}).run(cells, fn);
+  ThreadLane many(64);
+  const auto outcomes = run_on(many, cells, fn);
   ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok());
@@ -144,10 +160,11 @@ TEST(InProcessExecutorTest, EmptyCellsAndThreadsExceedingCells) {
   }
 }
 
-TEST(InProcessExecutorTest, ThrowingCellBecomesPerCellError) {
+TEST(ThreadLaneTest, ThrowingCellBecomesPerCellError) {
   const std::vector<Scenario> cells(4, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = InProcessExecutor({2}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  ThreadLane lane(2);
+  const auto outcomes = run_on(
+      lane, cells, [](const Scenario& s, std::size_t i) {
         if (i == 2) {
           throw std::runtime_error("synthetic cell failure");
         }
@@ -166,36 +183,20 @@ TEST(InProcessExecutorTest, ThrowingCellBecomesPerCellError) {
   }
 }
 
-TEST(SweepEngineTest, ThrowingCellFnRethrowsOnCaller) {
-  // Pre-refactor, a throw on a pool thread called std::terminate; now the
-  // first failing cell's error is rethrown on the calling thread.
-  const std::vector<Scenario> cells(6, Scenario::symmetric(2, 1.0, 1.0));
-  try {
-    SweepEngine({3}).run(cells, [](const Scenario&, std::size_t i) {
-      if (i == 4) {
-        throw std::runtime_error("boom");
-      }
-      return ResultSet("test", "cell");
-    });
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("cell 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("boom"), std::string::npos) << what;
-  }
-}
-
-TEST(MultiProcessExecutorTest, ThrowingCellBecomesPerCellError) {
+TEST(ForkLaneTest, ThrowingCellBecomesPerCellError) {
   const std::vector<Scenario> cells(4, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({2, 1}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  ForkLane lane(2);
+  const auto outcomes = run_on(
+      lane, cells,
+      [](const Scenario& s, std::size_t i) {
         if (i == 1) {
           throw std::runtime_error("worker-side failure");
         }
         ResultSet out("test", s.label());
         out.set("index", static_cast<double>(i));
         return out;
-      });
+      },
+      /*batch=*/1);
   ASSERT_EQ(outcomes.size(), 4u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (i == 1) {
@@ -209,7 +210,7 @@ TEST(MultiProcessExecutorTest, ThrowingCellBecomesPerCellError) {
   }
 }
 
-TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
+TEST(ForkLaneTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   // A cell that kills its worker process outright (not an exception).
   // The dispatch core respawns the crashed worker and re-runs the cell
   // once; when the rerun kills a worker too, the cell is declared
@@ -217,15 +218,18 @@ TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   // evaluates - the sweep never hangs, never dies, and the pool never
   // shrinks.
   const std::vector<Scenario> cells(8, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({2, 1}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  ForkLane lane(2);
+  const auto outcomes = run_on(
+      lane, cells,
+      [](const Scenario& s, std::size_t i) {
         if (i == 3) {
           ::_exit(42);  // simulated crash (e.g. a fatal RBX_CHECK)
         }
         ResultSet out("test", s.label());
         out.set("index", static_cast<double>(i));
         return out;
-      });
+      },
+      /*batch=*/1);
   ASSERT_EQ(outcomes.size(), 8u);
   EXPECT_FALSE(outcomes[3].ok());
   EXPECT_NE(outcomes[3].error.find("two lost workers"), std::string::npos)
@@ -241,13 +245,15 @@ TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   }
 }
 
-TEST(MultiProcessExecutorTest, EmptyCellsAndWorkerClamp) {
+TEST(ForkLaneTest, EmptyCellsAndWorkerClamp) {
   const CellFn fn = backend_fn();
-  EXPECT_TRUE(MultiProcessExecutor({4, 2}).run({}, fn).empty());
+  ForkLane four(4);
+  EXPECT_TRUE(run_on(four, {}, fn, /*batch=*/2).empty());
   // One cell, many workers: clamps to one batch/one worker.
   const std::vector<Scenario> cells(1, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({8, 0}).run(
-      cells, [](const Scenario& s, std::size_t) {
+  ForkLane eight(8);
+  const auto outcomes = run_on(
+      eight, cells, [](const Scenario& s, std::size_t) {
         ResultSet out("test", s.label());
         out.set("x", 1.0);
         return out;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sweep.h"
+
 namespace rbx {
 namespace {
 
@@ -11,7 +13,7 @@ TEST(ExperimentOptions, Defaults) {
   const auto opts = ExperimentOptions::parse(1, argv, 5000, 7);
   EXPECT_EQ(opts.samples, 5000u);
   EXPECT_EQ(opts.nmax, 7u);
-  EXPECT_EQ(opts.threads, 0u);  // 0 = hardware concurrency in SweepEngine
+  EXPECT_EQ(opts.threads, 0u);  // 0 = hardware concurrency in ThreadLane
 }
 
 TEST(ExperimentOptions, ParsesFlags) {
@@ -422,6 +424,60 @@ TEST(ExperimentOptions, EmptyJournalPathRefused) {
   char* argv[] = {prog, a1};
   EXPECT_EXIT(ExperimentOptions::parse(2, argv, 100, 2),
               ::testing::ExitedWithCode(2), "journal file path");
+}
+
+// A small monte-carlo grid for the SweepRunner tests.
+std::vector<Scenario> runner_cells() {
+  const auto apply_n = [](Scenario& s, double n) {
+    s.params(ProcessSetParams::symmetric(static_cast<std::size_t>(n), 1.0,
+                                         1.0));
+  };
+  return SweepGrid(Scenario::symmetric(2, 1.0, 1.0).samples(200))
+      .axis({2, 3}, apply_n)
+      .schemes({SchemeKind::kAsynchronous, SchemeKind::kSynchronized})
+      .expand(41);
+}
+
+TEST(SweepRunnerTest, ThreadAndForkLanesMatchEvaluatePlan) {
+  // --threads=2 --workers=2 composes a ForkLane and a ThreadLane under
+  // one DispatchCore; every cell must come back as evaluate_plan's bytes.
+  char prog[] = "bench";
+  char a1[] = "--threads=2";
+  char a2[] = "--workers=2";
+  char* argv[] = {prog, a1, a2};
+  const auto opts = ExperimentOptions::parse(3, argv, 100, 2);
+  const std::vector<Scenario> cells = runner_cells();
+  const PlanFn plan_fn = [](const Scenario&, std::size_t) {
+    return EvalPlan{{EvalStep{"monte-carlo", ""}}};
+  };
+  SweepRunner runner(opts);
+  const auto results = runner.run(cells, plan_fn);
+  ASSERT_TRUE(results.has_value());
+  ASSERT_EQ(results->size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ((*results)[i], evaluate_plan(plan_fn(cells[i], i), cells[i]))
+        << "cell " << i;
+  }
+}
+
+TEST(SweepRunnerDeathTest, LocalOnlyCellFnRefusedOnFleetLane) {
+  // A CellFn sweep cannot ship to remote daemons.  The refusal comes
+  // before any lane dials, so the unreachable registry is never tried.
+  char prog[] = "bench";
+  char a1[] = "--fleet=127.0.0.1:1";
+  char* argv[] = {prog, a1};
+  const auto opts = ExperimentOptions::parse(2, argv, 100, 2);
+  const CellFn local = [](const Scenario& s, std::size_t) {
+    return ResultSet("test", s.label());
+  };
+  EXPECT_EXIT(
+      {
+        SweepRunner runner(opts);
+        runner.run(runner_cells(), local);
+      },
+      ::testing::ExitedWithCode(2),
+      "--connect/--fleet: this sweep evaluates through a local-only cell "
+      "function");
 }
 
 TEST(Formatting, CiString) {

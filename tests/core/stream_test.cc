@@ -22,8 +22,10 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/eval_context.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/scenario.h"
 #include "support/stats.h"
 #include "support/wire.h"
@@ -167,18 +169,22 @@ TEST(StreamAccuracy, StreamedMeanAgreesWithSequentialMean) {
 
 TEST(StreamLanes, ForkLaneMatchesThreadLaneBitwise) {
   // The stream axis must survive the Scenario wire codec: forked workers
-  // decode their cells from frames, so byte-equality across executors
-  // proves the stream seed derivation happens after the codec, not
-  // before it.
+  // decode their cells from frames, so byte-equality across lanes proves
+  // the stream seed derivation happens after the codec, not before it.
   const std::vector<Scenario> cells = streamed_cells();
   const CellFn fn = [](const Scenario& s, std::size_t) {
     return monte_carlo_backend().evaluate(s);
   };
-  const auto reference = InProcessExecutor({1}).run(cells, fn);
+  ThreadLane thread(1);
+  const auto reference = DispatchCore({&thread}).run(cells, fn).outcomes;
   // 2 children for 3 cells: no helpers; 8 for 3: each of the 3 children
   // raised owns a pool with one helper thread.
   for (std::size_t workers : {2u, 8u}) {
-    const auto forked = MultiProcessExecutor({workers, 1}).run(cells, fn);
+    ForkLane forks(workers);
+    DispatchOptions options;
+    options.batch_size = 1;
+    const auto forked =
+        DispatchCore({&forks}, options).run(cells, fn).outcomes;
     ASSERT_EQ(reference.size(), forked.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_TRUE(reference[i].ok()) << reference[i].error;
@@ -211,7 +217,8 @@ TEST(StreamLanes, ThreadLanePoolsMatchSequentialBitwise) {
     sequential.push_back(encode_result(fn(cells[i], i)));
   }
   for (std::size_t threads : {1u, 2u, 4u}) {
-    const auto outcomes = InProcessExecutor({threads}).run(cells, fn);
+    ThreadLane lane(threads);
+    const auto outcomes = DispatchCore({&lane}).run(cells, fn).outcomes;
     ASSERT_EQ(outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
@@ -244,8 +251,11 @@ TEST(StreamLanes, OneCellOnAFourThreadLaneRunsFourWay) {
     out.set("threads", static_cast<double>(ids.size()));
     return out;
   };
-  const auto outcomes = InProcessExecutor({4}).run(
-      {Scenario::symmetric(2, 1.0, 0.5).seed(1)}, probe);
+  ThreadLane lane(4);
+  const auto outcomes =
+      DispatchCore({&lane})
+          .run({Scenario::symmetric(2, 1.0, 0.5).seed(1)}, probe)
+          .outcomes;
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
   EXPECT_EQ(outcomes[0].result.value("all_met"), 1.0);

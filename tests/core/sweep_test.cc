@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/backend.h"
+#include "core/dispatch.h"
+#include "core/lane.h"
+
 namespace rbx {
 namespace {
 
@@ -60,33 +64,50 @@ std::vector<Scenario> mc_grid(std::uint64_t master_seed) {
       .expand(master_seed);
 }
 
-TEST(SweepEngineTest, SameGridAndSeedIsBitwiseIdentical) {
-  const SweepEngine engine({2});
-  const auto a = engine.run(mc_grid(11), monte_carlo_backend());
-  const auto b = engine.run(mc_grid(11), monte_carlo_backend());
+// Evaluates `cells` on a `threads`-wide ThreadLane; every cell must
+// succeed.
+std::vector<ResultSet> run_threads(std::size_t threads,
+                                   const std::vector<Scenario>& cells,
+                                   const CellFn& fn) {
+  ThreadLane lane(threads);
+  std::vector<ResultSet> out;
+  for (CellOutcome& outcome : DispatchCore({&lane}).run(cells, fn).outcomes) {
+    EXPECT_TRUE(outcome.ok()) << outcome.error;
+    out.push_back(std::move(outcome.result));
+  }
+  return out;
+}
+
+const CellFn kMonteCarlo = [](const Scenario& s, std::size_t) {
+  return monte_carlo_backend().evaluate(s);
+};
+
+TEST(SweepDeterminismTest, SameGridAndSeedIsBitwiseIdentical) {
+  const auto a = run_threads(2, mc_grid(11), kMonteCarlo);
+  const auto b = run_threads(2, mc_grid(11), kMonteCarlo);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "cell " << i;
   }
   // A different master seed changes every Monte-Carlo cell.
-  const auto c = engine.run(mc_grid(12), monte_carlo_backend());
+  const auto c = run_threads(2, mc_grid(12), kMonteCarlo);
   EXPECT_NE(a[0].value("mean_interval_x"), c[0].value("mean_interval_x"));
 }
 
-TEST(SweepEngineTest, ThreadCountDoesNotChangeResults) {
+TEST(SweepDeterminismTest, ThreadCountDoesNotChangeResults) {
   const auto cells = mc_grid(17);
-  const auto serial = SweepEngine({1}).run(cells, monte_carlo_backend());
-  const auto parallel = SweepEngine({8}).run(cells, monte_carlo_backend());
+  const auto serial = run_threads(1, cells, kMonteCarlo);
+  const auto parallel = run_threads(8, cells, kMonteCarlo);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
   }
 }
 
-TEST(SweepEngineTest, CellFnReceivesIndexAndOrderIsPreserved) {
+TEST(SweepDeterminismTest, CellFnReceivesIndexAndOrderIsPreserved) {
   std::vector<Scenario> cells(5, Scenario::symmetric(2, 1.0, 1.0));
-  const auto results = SweepEngine({4}).run(
-      cells, [](const Scenario& s, std::size_t index) {
+  const auto results =
+      run_threads(4, cells, [](const Scenario& s, std::size_t index) {
         ResultSet out("test", s.label());
         out.set("index", static_cast<double>(index));
         return out;
@@ -97,10 +118,10 @@ TEST(SweepEngineTest, CellFnReceivesIndexAndOrderIsPreserved) {
   }
 }
 
-TEST(SweepEngineTest, DefaultsToHardwareConcurrency) {
-  EXPECT_GE(SweepEngine().threads(), 1u);
-  EXPECT_EQ(SweepEngine({3}).threads(), 3u);
-  EXPECT_TRUE(SweepEngine({2}).run({}, monte_carlo_backend()).empty());
+TEST(SweepDeterminismTest, ThreadLaneDefaultsToHardwareConcurrency) {
+  EXPECT_GE(ThreadLane(0).threads(), 1u);
+  EXPECT_EQ(ThreadLane(3).threads(), 3u);
+  EXPECT_TRUE(run_threads(2, {}, kMonteCarlo).empty());
 }
 
 }  // namespace

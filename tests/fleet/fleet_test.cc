@@ -130,30 +130,24 @@ fleet::FleetLaneOptions fleet_options(const net::Endpoint& registry,
   return opts;
 }
 
-// *backfills (when given) receives the lane's backfill count, read while
-// the executor still owns the lane - the lane dies with the executor.
-std::vector<CellOutcome> run_fleet_sweep(
-    std::unique_ptr<fleet::FleetLane> lane,
-    const std::vector<Scenario>& cells, const PlanFn& plan,
-    DispatchOptions options = {}, std::size_t* backfills = nullptr) {
-  const fleet::FleetLane* lane_ptr = lane.get();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::move(lane));
+// One quiet sweep of `cells` on the caller's fleet lane, which outlives it
+// (so its counters stay readable afterwards).
+std::vector<CellOutcome> run_fleet_sweep(fleet::FleetLane& lane,
+                                         const std::vector<Scenario>& cells,
+                                         const PlanFn& plan,
+                                         DispatchOptions options = {}) {
   options.quiet = true;
-  HybridExecutor executor(std::move(lanes), options);
-  executor.set_plan_fn(plan);
-  std::vector<CellOutcome> outcomes = executor.run(cells, CellFn());
-  if (backfills != nullptr) {
-    *backfills = lane_ptr->backfills();
-  }
-  return outcomes;
+  DispatchCore core({&lane}, options);
+  core.set_plan_fn(plan);
+  return core.run(cells, CellFn()).outcomes;
 }
 
 TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   const std::vector<Scenario> cells = mc_grid(211);
   const PlanFn plan = mc_plan();
+  ThreadLane local(1);
   const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+      DispatchCore({&local}).run(cells, local_fn_for(plan)).outcomes;
 
   TestWorker w1(worker_options(/*once=*/false, 0));
   TestWorker w2(worker_options(/*once=*/false, 0));
@@ -164,18 +158,20 @@ TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   // The same daemons, named explicitly: the --connect baseline.
   std::vector<CellOutcome> connect_run;
   {
-    net::ClusterOptions copts;
-    copts.endpoints = {w1.endpoint(), w2.endpoint()};
-    copts.quiet = true;
-    net::ClusterExecutor cluster(std::move(copts));
-    cluster.set_plan_fn(plan);
-    connect_run = cluster.run(cells, CellFn());
+    net::TcpLaneOptions topts;
+    topts.endpoints = {w1.endpoint(), w2.endpoint()};
+    topts.quiet = true;
+    net::TcpLane tcp(std::move(topts));
+    DispatchOptions options;
+    options.quiet = true;
+    DispatchCore core({&tcp}, options);
+    core.set_plan_fn(plan);
+    connect_run = core.run(cells, CellFn()).outcomes;
   }
 
   // Resolved through the registry instead: same bytes.
-  const auto fleet_run = run_fleet_sweep(
-      std::make_unique<fleet::FleetLane>(fleet_options(registry.endpoint())),
-      cells, plan);
+  fleet::FleetLane lane(fleet_options(registry.endpoint()));
+  const auto fleet_run = run_fleet_sweep(lane, cells, plan);
 
   ASSERT_EQ(fleet_run.size(), cells.size());
   ASSERT_EQ(connect_run.size(), cells.size());
@@ -195,8 +191,9 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
   const std::string key = "fleet-key";
   const std::vector<Scenario> cells = mc_grid(223);
   const PlanFn plan = mc_plan();
+  ThreadLane local(1);
   const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+      DispatchCore({&local}).run(cells, local_fn_for(plan)).outcomes;
 
   fleet::MemberTableOptions table;
   table.auth_key = key;
@@ -204,10 +201,8 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
   TestWorker w1(worker_options(/*once=*/false, 0, key));
   registry.admit(w1, key);
 
-  const auto fleet_run = run_fleet_sweep(
-      std::make_unique<fleet::FleetLane>(
-          fleet_options(registry.endpoint(), key)),
-      cells, plan);
+  fleet::FleetLane lane(fleet_options(registry.endpoint(), key));
+  const auto fleet_run = run_fleet_sweep(lane, cells, plan);
   ASSERT_EQ(fleet_run.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     ASSERT_TRUE(fleet_run[i].ok()) << fleet_run[i].error;
@@ -218,8 +213,9 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
 TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   const std::vector<Scenario> cells = mc_grid(227);
   const PlanFn plan = mc_plan();
+  ThreadLane local(1);
   const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+      DispatchCore({&local}).run(cells, local_fn_for(plan)).outcomes;
 
   // The only registered daemon answers one single-cell batch, then drops
   // the session - a deterministic mid-sweep kill.
@@ -233,7 +229,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   auto lane_options = fleet_options(registry.endpoint());
   lane_options.readmit_delay_ms = 400;  // first revive lands after the
                                         // membership change below
-  auto lane = std::make_unique<fleet::FleetLane>(lane_options);
+  fleet::FleetLane lane(lane_options);
 
   std::thread operator_thread([&]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -247,9 +243,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   DispatchOptions dopts;
   dopts.batch_size = 1;  // the kill triggers on the second cell
   dopts.handshake_timeout_ms = 2000;
-  std::size_t backfills = 0;
-  const auto outcomes =
-      run_fleet_sweep(std::move(lane), cells, plan, dopts, &backfills);
+  const auto outcomes = run_fleet_sweep(lane, cells, plan, dopts);
   operator_thread.join();
 
   ASSERT_EQ(outcomes.size(), cells.size());
@@ -259,7 +253,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
     EXPECT_EQ(outcomes[i].result, reference[i].result) << "cell " << i;
   }
   // The loss was healed by a *different* member, not a reconnect.
-  EXPECT_GE(backfills, 1u);
+  EXPECT_GE(lane.backfills(), 1u);
 }
 
 TEST(FleetLaneTest, RequiredLaneFailsLoudlyOnAnEmptyRegistry) {

@@ -1,4 +1,4 @@
-// The cluster transport contract: a sweep spanning TCP workers is
+// The TCP lane contract: a sweep spanning TCP workers is
 // bitwise identical to an in-process run of the same plans - including a
 // run where a worker dies mid-sweep and its in-flight cells roll back to
 // the survivors (the distributed analogue of backward error recovery).
@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/sweep.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -47,8 +49,8 @@ CellFn local_fn_for(const PlanFn& plan) {
 }
 
 // A worker on an ephemeral loopback port, serving one connection on its
-// own thread (joined on destruction - destroy the executor, which closes
-// its connections, before the worker leaves scope).
+// own thread (joined on destruction - destroy the lane, which closes its
+// connections, before the worker leaves scope).
 struct TestWorker {
   explicit TestWorker(std::size_t fail_after = 0, std::size_t delay_ms = 0)
       : server(net::WorkerOptions{/*port=*/0, /*once=*/true, fail_after,
@@ -83,28 +85,31 @@ struct PoolWorker {
   std::thread thread;
 };
 
-net::ClusterOptions cluster_options(std::vector<net::Endpoint> endpoints,
-                                    std::size_t batch = 0) {
-  net::ClusterOptions options;
-  options.endpoints = std::move(endpoints);
-  options.batch_size = batch;
+// One quiet sweep of `cells` on `lane` under a fresh DispatchCore: a
+// TcpLane evaluates `plan` remotely, a ThreadLane (the local reference)
+// runs the same plan through evaluate_plan.
+SweepResult run_on(Lane& lane, const std::vector<Scenario>& cells,
+                   const PlanFn& plan, DispatchOptions options = {}) {
   options.quiet = true;
-  return options;
+  DispatchCore core({&lane}, options);
+  core.set_plan_fn(plan);
+  return core.run(cells, local_fn_for(plan));
 }
 
-TEST(ClusterExecutorTest, MatchesInProcessBitwise) {
+TEST(TcpLaneTest, MatchesInProcessBitwise) {
   const std::vector<Scenario> cells = mc_grid(17);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   TestWorker w1;
   TestWorker w2;
   {
-    net::ClusterExecutor cluster(
-        cluster_options({w1.endpoint(), w2.endpoint()}));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {w1.endpoint(), w2.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const auto remote = run_on(lane, cells, plan).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << "cell " << i << ": " << remote[i].error;
@@ -113,11 +118,11 @@ TEST(ClusterExecutorTest, MatchesInProcessBitwise) {
   }
 }
 
-TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
+TEST(TcpLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(23);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   // The healthy worker is throttled slightly so it cannot drain the whole
   // queue before the dying worker's handshake settles - without the
@@ -128,11 +133,12 @@ TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   // next batch in flight: a deterministic mid-sweep kill.
   TestWorker dying(/*fail_after=*/1);
   {
-    net::ClusterExecutor cluster(
-        cluster_options({healthy.endpoint(), dying.endpoint()},
-                        /*batch=*/1));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {healthy.endpoint(), dying.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const auto remote =
+        run_on(lane, cells, plan, {.batch_size = 1}).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     // Every cell completed (the lost worker's cells re-ran on the
     // survivor) and the rerun is bitwise identical: per-cell seeds make
@@ -141,25 +147,27 @@ TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
       ASSERT_TRUE(remote[i].ok()) << "cell " << i << ": " << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result) << "cell " << i;
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(lane.live(), 1u);
   }
 }
 
-TEST(ClusterExecutorTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
+TEST(TcpLaneTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
   const std::vector<Scenario> cells = mc_grid(31);
   const PlanFn plan = mc_plan();
 
   TestWorker dying(/*fail_after=*/1);
   {
-    auto options = cluster_options({dying.endpoint()}, /*batch=*/1);
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {dying.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
     // Without re-admission: the dead worker's listener is still bound (the
     // test object is in scope), so each revival attempt would connect and
     // then burn a full handshake timeout - the pre-refactor semantics of
     // "everyone is gone" are what this test pins.
-    options.readmit = false;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    const auto remote =
+        run_on(lane, cells, plan, {.batch_size = 1, .readmit = false})
+            .outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     std::size_t completed = 0;
     std::size_t failed = 0;
@@ -175,15 +183,15 @@ TEST(ClusterExecutorTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
     // must come back as per-cell errors, never a hang.
     EXPECT_EQ(completed, 1u);
     EXPECT_EQ(failed, cells.size() - 1);
-    EXPECT_EQ(cluster.live_workers(), 0u);
+    EXPECT_EQ(lane.live(), 0u);
   }
 }
 
-TEST(ClusterExecutorTest, SkipsUnreachableEndpointAndStillCompletes) {
+TEST(TcpLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
   const std::vector<Scenario> cells = mc_grid(41);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   // Find a dead port by binding an ephemeral listener and closing it.
   std::uint16_t dead_port = 0;
@@ -194,21 +202,23 @@ TEST(ClusterExecutorTest, SkipsUnreachableEndpointAndStillCompletes) {
 
   TestWorker alive;
   {
-    auto options = cluster_options(
-        {net::Endpoint{"127.0.0.1", dead_port}, alive.endpoint()});
-    options.connect_retries = 0;  // fail the dead endpoint fast
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {net::Endpoint{"127.0.0.1", dead_port},
+                     alive.endpoint()};
+    tcp.connect_retries = 0;  // fail the dead endpoint fast
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    EXPECT_EQ(lane.live(), 2u);  // before the first sweep: configured
+    const auto remote = run_on(lane, cells, plan).outcomes;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(lane.live(), 1u);
   }
 }
 
-TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
+TEST(TcpLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   // The accept-backlog fix: a daemon pool serves two sweeps at once, each
   // coordinator on its own session, and both print the reference bytes.
   PoolWorker w1(/*max_coordinators=*/2);
@@ -217,12 +227,13 @@ TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   const auto sweep_matches_reference = [&](std::uint64_t master_seed) {
     const std::vector<Scenario> cells = mc_grid(master_seed);
     const PlanFn plan = mc_plan();
-    const auto reference =
-        InProcessExecutor({1}).run(cells, local_fn_for(plan));
-    net::ClusterExecutor cluster(
-        cluster_options({w1.endpoint(), w2.endpoint()}));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    ThreadLane local(1);
+    const auto reference = run_on(local, cells, plan).outcomes;
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {w1.endpoint(), w2.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const auto remote = run_on(lane, cells, plan).outcomes;
     if (remote.size() != cells.size()) {
       return false;
     }
@@ -244,7 +255,7 @@ TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   EXPECT_TRUE(second_ok);
 }
 
-TEST(ClusterExecutorTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
+TEST(TcpLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   PoolWorker worker(/*max_coordinators=*/1);
 
   net::FrameConn first(net::connect_to(worker.endpoint(), /*retries=*/5));
@@ -266,11 +277,11 @@ TEST(ClusterExecutorTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   EXPECT_NE(r.str().find("max-coordinators"), std::string::npos);
 }
 
-TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
+TEST(TcpLaneTest, StealsStragglerTailAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(53);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   TestWorker fast;
   // Holds every batch for 800 ms - far longer than the rest of the grid
@@ -278,47 +289,45 @@ TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
   // the fast worker must steal them to finish.
   TestWorker slow(/*fail_after=*/0, /*delay_ms=*/800);
   {
-    auto options = cluster_options({fast.endpoint(), slow.endpoint()},
-                                   /*batch=*/1);
-    options.steal = true;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {fast.endpoint(), slow.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const DispatchOptions options{.batch_size = 1, .steal = true};
 
     // Sweep 1: the straggler holds its batch, the fast worker drains the
     // queue and must steal the tail to finish.
-    const auto first = cluster.run(cells, CellFn());
-    ASSERT_EQ(first.size(), cells.size());
+    const SweepResult first = run_on(lane, cells, plan, options);
+    ASSERT_EQ(first.outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      ASSERT_TRUE(first[i].ok()) << "cell " << i << ": " << first[i].error;
-      EXPECT_EQ(first[i].result, reference[i].result) << "cell " << i;
+      ASSERT_TRUE(first.outcomes[i].ok())
+          << "cell " << i << ": " << first.outcomes[i].error;
+      EXPECT_EQ(first.outcomes[i].result, reference[i].result)
+          << "cell " << i;
     }
-    EXPECT_GE(cluster.stolen_cells_last_run(), 1u);
-    EXPECT_EQ(cluster.stolen_cells_last_run(), cluster.stolen_cells());
-    const std::size_t after_first = cluster.stolen_cells();
+    EXPECT_GE(first.stolen_cells, 1u);
 
     // Sweep 2 over the same connections: the straggler still owes its
     // stolen-from batch, so its stale answer must be flushed ahead of the
     // new HelloAck (and if it is still asleep when the fast worker
     // finishes everything, it is simply not waited on - there is no
-    // handshake barrier).  Either way the bytes cannot change, and the
-    // per-run counter reports this sweep alone - asserting the lifetime
-    // counter across runs was the accumulation bug the split fixed.
-    const auto second = cluster.run(cells, CellFn());
-    ASSERT_EQ(second.size(), cells.size());
+    // handshake barrier).  Either way the bytes cannot change.
+    const SweepResult second = run_on(lane, cells, plan, options);
+    ASSERT_EQ(second.outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      ASSERT_TRUE(second[i].ok()) << "cell " << i << ": " << second[i].error;
-      EXPECT_EQ(second[i].result, reference[i].result) << "cell " << i;
+      ASSERT_TRUE(second.outcomes[i].ok())
+          << "cell " << i << ": " << second.outcomes[i].error;
+      EXPECT_EQ(second.outcomes[i].result, reference[i].result)
+          << "cell " << i;
     }
-    EXPECT_GE(cluster.stolen_cells(), after_first);  // lifetime: monotone
-    EXPECT_LE(cluster.stolen_cells_last_run(), cluster.stolen_cells());
   }
 }
 
-TEST(ClusterExecutorTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
+TEST(TcpLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
   const std::vector<Scenario> cells = mc_grid(59);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   // A listener that is never accepted: TCP connects fine (backlog), but
   // no Hello is ever answered - the "accepts TCP, never speaks" stall.
@@ -326,22 +335,23 @@ TEST(ClusterExecutorTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
 
   TestWorker alive;
   {
-    auto options = cluster_options(
-        {net::Endpoint{"127.0.0.1", hung.port()}, alive.endpoint()});
-    options.handshake_timeout_ms = 300;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {net::Endpoint{"127.0.0.1", hung.port()},
+                     alive.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const auto remote =
+        run_on(lane, cells, plan, {.handshake_timeout_ms = 300}).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(lane.live(), 1u);
   }
 }
 
-TEST(ClusterExecutorTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
+TEST(TcpLaneTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
   // The coordinator fingerprints the grid only when a worker handshakes.
   // A fake worker records the Hello it receives and acks with a stale
   // fingerprint, as a worker still answering another sweep would: the
@@ -350,14 +360,14 @@ TEST(ClusterExecutorTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
   // real worker finishes the sweep bitwise.
   const std::vector<Scenario> cells = mc_grid(61);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
 
   net::Listener stale(0);
   net::Hello received;
   bool got_work = true;
-  // A jthread: an early ASSERT return still joins it, after the
-  // executor's destruction has closed the connection it reads.
+  // A jthread: an early ASSERT return still joins it, after the lane's
+  // destruction has closed the connection it reads.
   std::jthread fake([&stale, &received, &got_work]() {
     net::FrameConn conn(stale.accept_client());
     wire::Frame hello;
@@ -377,16 +387,18 @@ TEST(ClusterExecutorTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
 
   TestWorker alive;
   {
-    net::ClusterExecutor cluster(cluster_options(
-        {net::Endpoint{"127.0.0.1", stale.port()}, alive.endpoint()}));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    net::TcpLaneOptions tcp;
+    tcp.endpoints = {net::Endpoint{"127.0.0.1", stale.port()},
+                     alive.endpoint()};
+    tcp.quiet = true;
+    net::TcpLane lane(std::move(tcp));
+    const auto remote = run_on(lane, cells, plan).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(lane.live(), 1u);
   }
   fake.join();
   EXPECT_EQ(received.fingerprint, grid_fingerprint(cells));

@@ -86,7 +86,7 @@ net::TcpLaneOptions tcp_options(std::vector<net::Endpoint> endpoints) {
   return options;
 }
 
-TEST(HybridExecutorTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
+TEST(HybridDispatchTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
   const std::vector<Scenario> cells = mc_grid(101);
   const PlanFn plan = mc_plan();
   const CellFn fn = local_fn_for(plan);
@@ -95,18 +95,16 @@ TEST(HybridExecutorTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
   TestWorker w1;
   TestWorker w2;
   {
-    std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.push_back(std::make_unique<ForkLane>(2));
-    lanes.push_back(std::make_unique<ThreadLane>(2));
-    lanes.push_back(std::make_unique<net::TcpLane>(
-        tcp_options({w1.endpoint(), w2.endpoint()})));
+    ForkLane forks(2);
+    ThreadLane threads(2);
+    net::TcpLane tcp(tcp_options({w1.endpoint(), w2.endpoint()}));
     DispatchOptions options;
     options.steal = true;
     options.quiet = true;
-    HybridExecutor hybrid(std::move(lanes), options);
-    hybrid.set_plan_fn(plan);
+    DispatchCore core({&forks, &threads, &tcp}, options);
+    core.set_plan_fn(plan);
 
-    const auto outcomes = hybrid.run(cells, fn);
+    const auto outcomes = core.run(cells, fn).outcomes;
     ASSERT_EQ(outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << "cell " << i << ": "
@@ -116,7 +114,7 @@ TEST(HybridExecutorTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
   }
 }
 
-TEST(HybridExecutorTest, AllTcpWorkersLostFallsBackToLocalLanes) {
+TEST(HybridDispatchTest, AllTcpWorkersLostFallsBackToLocalLanes) {
   // Every TCP worker dies mid-sweep; the thread lane absorbs the rolled
   // back cells and the sweep completes bitwise clean instead of failing.
   const std::vector<Scenario> cells = mc_grid(103);
@@ -126,29 +124,28 @@ TEST(HybridExecutorTest, AllTcpWorkersLostFallsBackToLocalLanes) {
 
   TestWorker dying(/*fail_after=*/1);
   {
-    std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.push_back(std::make_unique<ThreadLane>(2));
-    lanes.push_back(
-        std::make_unique<net::TcpLane>(tcp_options({dying.endpoint()})));
+    ThreadLane threads(2);
+    net::TcpLane tcp(tcp_options({dying.endpoint()}));
     DispatchOptions options;
     options.batch_size = 1;
     options.quiet = true;
     options.readmit = false;  // the daemon stays dead: pure fallback
-    HybridExecutor hybrid(std::move(lanes), options);
-    hybrid.set_plan_fn(plan);
+    DispatchCore core({&threads, &tcp}, options);
+    core.set_plan_fn(plan);
 
-    const auto outcomes = hybrid.run(cells, fn);
+    const SweepResult sweep = core.run(cells, fn);
+    const std::vector<CellOutcome>& outcomes = sweep.outcomes;
     ASSERT_EQ(outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << "cell " << i << ": "
                                     << outcomes[i].error;
       EXPECT_EQ(outcomes[i].result, reference[i]) << "cell " << i;
     }
-    EXPECT_EQ(hybrid.readmitted_workers(), 0u);
+    EXPECT_EQ(sweep.readmitted_workers, 0u);
   }
 }
 
-TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
+TEST(HybridDispatchTest, RestartedDaemonIsReadmittedMidSweep) {
   // The backward-error-recovery loop applied to the pool itself: a daemon
   // dies with a batch in flight, its cells roll back to the steady
   // worker, the daemon restarts on the same port, and the dispatch core
@@ -207,26 +204,26 @@ TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
         {net::Endpoint{"127.0.0.1", steady.port()},
          net::Endpoint{"127.0.0.1", port}});
     tcp.readmit_delay_ms = 50;
-    std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
+    net::TcpLane lane(std::move(tcp));
     DispatchOptions options;
     options.batch_size = 1;
     options.quiet = true;
-    HybridExecutor hybrid(std::move(lanes), options);
-    hybrid.set_plan_fn(plan);
+    DispatchCore core({&lane}, options);
+    core.set_plan_fn(plan);
 
-    const auto outcomes = hybrid.run(cells, CellFn());
+    const SweepResult sweep = core.run(cells, CellFn());
+    const std::vector<CellOutcome>& outcomes = sweep.outcomes;
     ASSERT_EQ(outcomes.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << "cell " << i << ": "
                                     << outcomes[i].error;
       EXPECT_EQ(outcomes[i].result, reference[i]) << "cell " << i;
     }
-    EXPECT_GE(hybrid.readmitted_workers(), 1u);
+    EXPECT_GE(sweep.readmitted_workers, 1u);
   }
 
   // Unblock the restarted daemon if it is still waiting in accept (it
-  // normally exits when the executor above hangs up on it).
+  // normally exits when the lane above hangs up on it).
   while (!second_up.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

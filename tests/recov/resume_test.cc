@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -87,10 +87,17 @@ TEST(ResumePlanTest, CellCountMismatchRefuses) {
 
 // --- the dispatch seam ---------------------------------------------------
 
-CellFn indexed_fn(std::vector<std::size_t>* evaluated) {
+// The cells a sweep evaluated, recorded from concurrent ThreadLane workers.
+struct Evaluated {
+  std::mutex mutex;
+  std::vector<std::size_t> cells;  // guarded by mutex
+};
+
+CellFn indexed_fn(Evaluated* evaluated) {
   return [evaluated](const Scenario& s, std::size_t i) {
     if (evaluated != nullptr) {
-      evaluated->push_back(i);
+      const std::lock_guard<std::mutex> lock(evaluated->mutex);
+      evaluated->cells.push_back(i);
     }
     ResultSet out("test", s.label());
     out.set("value", 10.0 * static_cast<double>(i), 0.0, 1);
@@ -106,16 +113,15 @@ TEST(DispatchResumeTest, PrecommittedCellsAreNotReEvaluated) {
   // only for the losers.
   const std::vector<Scenario> cells(6, Scenario::symmetric(2, 1.0, 1.0));
 
-  std::vector<std::unique_ptr<Lane>> lanes1;
-  lanes1.push_back(std::make_unique<ThreadLane>(2));
+  ThreadLane lane1(2);
   DispatchOptions opts;
   opts.quiet = true;
-  HybridExecutor full(std::move(lanes1), opts);
+  DispatchCore full({&lane1}, opts);
   std::vector<std::size_t> full_commits;
   full.set_commit_hook([&full_commits](std::size_t i, const CellOutcome&) {
     full_commits.push_back(i);
   });
-  const auto reference = full.run(cells, indexed_fn(nullptr));
+  const auto reference = full.run(cells, indexed_fn(nullptr)).outcomes;
   ASSERT_EQ(reference.size(), cells.size());
   EXPECT_EQ(full_commits.size(), cells.size());
 
@@ -127,17 +133,16 @@ TEST(DispatchResumeTest, PrecommittedCellsAreNotReEvaluated) {
     seed[i] = reference[i];
   }
 
-  std::vector<std::unique_ptr<Lane>> lanes2;
-  lanes2.push_back(std::make_unique<ThreadLane>(2));
-  HybridExecutor resumed(std::move(lanes2), opts);
+  ThreadLane lane2(2);
+  DispatchCore resumed({&lane2}, opts);
   resumed.set_precommitted(mask, seed);
   std::vector<std::size_t> resumed_commits;
   resumed.set_commit_hook(
       [&resumed_commits](std::size_t i, const CellOutcome&) {
         resumed_commits.push_back(i);
       });
-  std::vector<std::size_t> evaluated;
-  const auto outcomes = resumed.run(cells, indexed_fn(&evaluated));
+  Evaluated evaluated;
+  const auto outcomes = resumed.run(cells, indexed_fn(&evaluated)).outcomes;
 
   ASSERT_EQ(outcomes.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -145,16 +150,16 @@ TEST(DispatchResumeTest, PrecommittedCellsAreNotReEvaluated) {
     EXPECT_EQ(outcomes[i].result, reference[i].result) << "cell " << i;
   }
   // Only the losers were evaluated and only they fired the hook.
-  std::sort(evaluated.begin(), evaluated.end());
-  EXPECT_EQ(evaluated, (std::vector<std::size_t>{1, 3, 5}));
+  std::sort(evaluated.cells.begin(), evaluated.cells.end());
+  EXPECT_EQ(evaluated.cells, (std::vector<std::size_t>{1, 3, 5}));
   std::sort(resumed_commits.begin(), resumed_commits.end());
   EXPECT_EQ(resumed_commits, (std::vector<std::size_t>{1, 3, 5}));
 
   // The seam is one-shot: a further run starts clean and evaluates all.
-  std::vector<std::size_t> again;
-  const auto rerun = resumed.run(cells, indexed_fn(&again));
+  Evaluated again;
+  const auto rerun = resumed.run(cells, indexed_fn(&again)).outcomes;
   ASSERT_EQ(rerun.size(), cells.size());
-  EXPECT_EQ(again.size(), cells.size());
+  EXPECT_EQ(again.cells.size(), cells.size());
 }
 
 TEST(DispatchResumeTest, FullyPrecommittedSweepTouchesNoWorker) {
@@ -166,12 +171,12 @@ TEST(DispatchResumeTest, FullyPrecommittedSweepTouchesNoWorker) {
   }
   // No lanes at all: with every cell pre-committed nothing needs a worker,
   // so the usual "no lanes" infrastructure error must not fire.
-  HybridExecutor hybrid({}, DispatchOptions());
-  hybrid.set_precommitted(mask, seed);
-  std::vector<std::size_t> evaluated;
-  const auto outcomes = hybrid.run(cells, indexed_fn(&evaluated));
+  DispatchCore core({});
+  core.set_precommitted(mask, seed);
+  Evaluated evaluated;
+  const auto outcomes = core.run(cells, indexed_fn(&evaluated)).outcomes;
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(evaluated.empty());
+  EXPECT_TRUE(evaluated.cells.empty());
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(outcomes[i].result, make_result(i));
   }
@@ -179,14 +184,13 @@ TEST(DispatchResumeTest, FullyPrecommittedSweepTouchesNoWorker) {
 
 TEST(DispatchResumeTest, MismatchedPrecommitSizesThrow) {
   const std::vector<Scenario> cells(4, Scenario::symmetric(2, 1.0, 1.0));
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.push_back(std::make_unique<ThreadLane>(1));
+  ThreadLane lane(1);
   DispatchOptions opts;
   opts.quiet = true;
-  HybridExecutor hybrid(std::move(lanes), opts);
-  hybrid.set_precommitted(std::vector<std::uint8_t>(3, 0),
-                          std::vector<CellOutcome>(3));
-  EXPECT_THROW(hybrid.run(cells, indexed_fn(nullptr)), std::runtime_error);
+  DispatchCore core({&lane}, opts);
+  core.set_precommitted(std::vector<std::uint8_t>(3, 0),
+                        std::vector<CellOutcome>(3));
+  EXPECT_THROW(core.run(cells, indexed_fn(nullptr)), std::runtime_error);
 }
 
 }  // namespace
