@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       EvalPlan{{EvalStep{"micro-markov", ""}}},
       /*default_threads=*/1);
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: owned cells journaled
   }
 
   TextTable table({"n", "build full", "build lumped", "transient unif",

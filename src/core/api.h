@@ -55,10 +55,10 @@
 //                cell can ship to a worker daemon that has no access to
 //                bench closures (core/backend.h);
 //   ShardSpec    k-way deterministic split of an expanded grid for
-//                multi-host batch sweeps: shard i of k evaluates cells
-//                with index % k == i, writes a ShardPartial, and
-//                PartialMerger / merge_shard_partials() reassembles the
-//                exact unsharded result vector (core/executor.h);
+//                multi-host batch sweeps: shard i of k evaluates the cells
+//                with index % k == i into its own sweep journal, and
+//                --merge unions the journals into the exact unsharded
+//                result vector (core/executor.h, core/experiment.h);
 //   SweepJournal crash durability (recov/journal.h, recov/resume.h): a
 //                CRC'd write-ahead log of cell commits, an ARIES-style
 //                analysis pass tolerating torn tails, and resume planning
@@ -90,7 +90,7 @@
 //                --compare mode that fails on regressions.
 //
 // Scenario and ResultSet have exact binary round-trips (encode/decode on
-// support/wire.h) - the lanes and shard files depend on doubles being
+// support/wire.h) - the lanes and journals depend on doubles being
 // bit-preserved on the wire, which is what makes every execution mode
 // print identical tables.
 //
@@ -117,17 +117,17 @@
 //   auto outcomes = core.run(cells, cell_fn).outcomes;
 //
 // The same cells sharded across two hosts reproduce those results
-// bitwise:
+// bitwise.  A shard is a journaled sweep of the cells it owns, and a
+// merge unions the journals' committed cells:
 //
-//   host A: outcomes for shard_cell_indices(cells.size(), {0, 2})
-//   host B: outcomes for shard_cell_indices(cells.size(), {1, 2})
-//   merge_shard_partials({A, B}) == the unsharded results
+//   host A: fig5_mean_interval --shard=0/2   # writes shard-0-of-2.rbxj
+//   host B: fig5_mean_interval --shard=1/2   # writes shard-1-of-2.rbxj
+//   fig5_mean_interval --merge=shard-0-of-2.rbxj,shard-1-of-2.rbxj
+//           # == the unsharded tables
 //
-// (benches expose this as --shard=i/k + --merge=A,B, where a merge
-// source is a partial file or the HOST:PORT of a --shard-serve run
-// streaming partials as they finish; see core/experiment.h's
-// SweepRunner).  For one live sweep spanning many machines - and the
-// local machine at once - the lane flags compose:
+// (a killed shard continues with --resume=FILE --shard=i/k; see
+// core/experiment.h's SweepRunner).  For one live sweep spanning many
+// machines - and the local machine at once - the lane flags compose:
 //
 //   fig5_mean_interval --threads=8 --workers=4
 //                      --connect=hostA:4701,hostB:4701 --steal

@@ -15,7 +15,6 @@
 #include "fleet/auth.h"
 #include "fleet/lane.h"
 #include "net/cluster.h"
-#include "net/frame.h"
 #include "recov/journal.h"
 #include "recov/resume.h"
 
@@ -33,8 +32,7 @@ namespace {
                "           [--fleet-workers=N]] [--auth-key-file=PATH]\n"
                "          [--batch=N] [--steal]\n"
                "          [--handshake-timeout-ms=N]\n"
-               "          [--shard=i/k [--shard-out=FILE | --shard-serve=PORT]]\n"
-               "          [--merge=SRC1,SRC2,...]  (SRC: file or HOST:PORT)\n"
+               "          [--shard=i/k] [--merge=JOURNAL1,JOURNAL2,...]\n"
                "          [--journal=FILE | --resume=FILE] [--no-cache]\n"
                "(--threads, --workers and --connect compose into one hybrid "
                "sweep)\n",
@@ -96,7 +94,6 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
   opts.nmax = default_nmax;
   const char* prog = argc > 0 ? argv[0] : "bench";
   bool shard_given = false;
-  bool shard_out_given = false;
   bool batch_given = false;
   bool handshake_timeout_given = false;
   for (int i = 1; i < argc; ++i) {
@@ -199,21 +196,6 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
       }
       shard_given = true;
       continue;
-    } else if (std::strncmp(arg, "--shard-out=", 12) == 0) {
-      if (arg[12] == '\0') {
-        usage_error(prog, arg, "expected a file path");
-      }
-      opts.shard_out = arg + 12;
-      shard_out_given = true;
-      continue;
-    } else if (std::strncmp(arg, "--shard-serve=", 14) == 0) {
-      std::uint64_t port = 0;
-      if (!parse_strict_u64(arg + 14, &port) || port > 65535) {
-        usage_error(prog, arg, "expected a port in 0..65535 (0 = ephemeral)");
-      }
-      opts.shard_serve = true;
-      opts.shard_serve_port = static_cast<std::uint16_t>(port);
-      continue;
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
       if (arg[10] == '\0') {
         usage_error(prog, arg, "expected a file path");
@@ -237,19 +219,19 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
                                     ? static_cast<std::size_t>(comma - list)
                                     : std::strlen(list);
         if (len == 0) {
-          usage_error(prog, arg, "empty file name in list");
+          usage_error(prog, arg, "empty journal name in list");
         }
         opts.merge_inputs.emplace_back(list, len);
         list += len;
         if (*list == ',') {
           ++list;
           if (*list == '\0') {
-            usage_error(prog, arg, "empty file name in list");
+            usage_error(prog, arg, "empty journal name in list");
           }
         }
       }
       if (opts.merge_inputs.empty()) {
-        usage_error(prog, arg, "expected a comma-separated file list");
+        usage_error(prog, arg, "expected a comma-separated journal list");
       }
       continue;
     } else {
@@ -331,32 +313,15 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
                 "--merge evaluates nothing, so there is nothing to "
                 "journal or resume");
   }
-  if ((!opts.journal.empty() || !opts.resume.empty()) && shard_given) {
-    usage_error(prog, "--shard",
-                "the sweep journal covers whole sweeps; journal the "
-                "unsharded run (or re-run the lost shard - partials are "
-                "cheap) instead of combining it with --shard");
-  }
   if (opts.no_cache && !remote_lane) {
     usage_error(prog, "--no-cache",
                 "--no-cache only applies to --connect or --fleet runs "
                 "(only remote daemons keep a result cache)");
   }
-  if (shard_out_given && !shard_given) {
-    usage_error(prog, "--shard-out", "--shard-out requires --shard");
-  }
-  if (opts.shard_serve && !shard_given) {
-    usage_error(prog, "--shard-serve", "--shard-serve requires --shard");
-  }
-  if (opts.shard_serve && shard_out_given) {
-    usage_error(prog, "--shard-serve",
-                "--shard-serve streams partials to a --merge peer and "
-                "cannot combine with --shard-out");
-  }
   opts.shard_mode = shard_given;
-  if (shard_given && !opts.shard_serve && opts.shard_out.empty()) {
-    opts.shard_out = "shard-" + std::to_string(opts.shard.index) + "-of-" +
-                     std::to_string(opts.shard.count) + ".rbxw";
+  if (shard_given && opts.journal.empty() && opts.resume.empty()) {
+    opts.journal = "shard-" + std::to_string(opts.shard.index) + "-of-" +
+                   std::to_string(opts.shard.count) + ".rbxj";
   }
   // 0 keeps the bench's default budget (documented escape hatch, and what
   // --nmax=0 has always meant).
@@ -369,41 +334,6 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
   return opts;
 }
 
-// One source of shard partials for --merge: a preloaded partial file, or
-// a socket connected to a --shard-serve run that streams each section as
-// the shard finishes computing it.
-struct SweepRunner::MergeSource {
-  std::string name;
-  bool is_socket = false;
-  std::vector<wire::Frame> frames;       // file mode: all sections upfront
-  std::unique_ptr<net::FrameConn> conn;  // socket mode
-
-  // The ShardPartial frame of sweep section `section`; throws wire::Error
-  // naming this source when it cannot supply one.
-  wire::Frame next(std::size_t section) {
-    if (is_socket) {
-      wire::Frame frame;
-      try {
-        if (!conn->recv(&frame)) {
-          throw wire::Error("'" + name + "' hung up before streaming sweep "
-                            "section " + std::to_string(section) +
-                            " (did the shard run fail?)");
-        }
-      } catch (const wire::Error& e) {
-        throw wire::Error("'" + name + "': " + e.what());
-      }
-      return frame;
-    }
-    if (section >= frames.size()) {
-      throw wire::Error("'" + name + "' has only " +
-                        std::to_string(frames.size()) +
-                        " sweep sections (bench expected more - was it "
-                        "written by this bench?)");
-    }
-    return frames[section];
-  }
-};
-
 SweepRunner::SweepRunner(const ExperimentOptions& opts,
                          std::size_t default_threads)
     : opts_(opts) {
@@ -411,47 +341,17 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
     opts_.threads = default_threads;
   }
   if (!opts_.merge_inputs.empty()) {
-    // Merge mode evaluates nothing, so no lanes are raised.  Sources that
-    // parse as HOST:PORT are sockets to --shard-serve runs; everything
-    // else is a partial file.
+    // Merge mode evaluates nothing, so no lanes are raised.  Each journal
+    // is analyzed once here; run() takes one sweep from each.
     for (const std::string& input : opts_.merge_inputs) {
-      auto source = std::make_unique<MergeSource>();
-      source->name = input;
-      net::Endpoint endpoint;
-      std::string why;
-      if (net::parse_endpoint(input, &endpoint, &why)) {
-        source->is_socket = true;
-        try {
-          source->conn = std::make_unique<net::FrameConn>(
-              net::connect_to(endpoint, /*retries=*/10));
-        } catch (const net::Error& e) {
-          std::fprintf(stderr, "merge: %s\n", e.what());
-          std::exit(1);
-        }
-      } else {
-        try {
-          source->frames = wire::read_frames(input);
-        } catch (const wire::Error& e) {
-          std::fprintf(stderr, "merge: %s\n", e.what());
-          std::exit(1);
-        }
+      try {
+        merge_journals_.push_back(recov::analyze_journal(input));
+      } catch (const wire::Error& e) {
+        std::fprintf(stderr, "merge: '%s': %s\n", input.c_str(), e.what());
+        std::exit(1);
       }
-      merge_sources_.push_back(std::move(source));
     }
     return;
-  }
-  if (opts_.shard_serve) {
-    try {
-      shard_listener_ =
-          std::make_unique<net::Listener>(opts_.shard_serve_port);
-    } catch (const net::Error& e) {
-      std::fprintf(stderr, "shard: %s\n", e.what());
-      std::exit(1);
-    }
-    std::fprintf(stderr,
-                 "shard: serving partials on port %u (waiting for a "
-                 "--merge peer)\n",
-                 static_cast<unsigned>(shard_listener_->port()));
   }
   // Compose the execution lanes.  They serve the whole bench run: a TCP
   // lane's worker connections, including the knowledge of which workers
@@ -551,10 +451,6 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
 
 SweepRunner::~SweepRunner() = default;
 
-std::uint16_t SweepRunner::shard_serve_port() const {
-  return shard_listener_ != nullptr ? shard_listener_->port() : 0;
-}
-
 std::vector<CellOutcome> SweepRunner::evaluate(
     const std::vector<Scenario>& cells, const CellFn& cell_fn,
     const PlanFn* plan_fn) {
@@ -626,137 +522,76 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
   const std::vector<Scenario>& cells =
       opts_.streams > 1 ? streamed : cells_in;
   const std::size_t section = sweep_index_++;
-  if (!merge_sources_.empty()) {
-    // Merge mode: take section `section` from every source, applying each
-    // partial to the merger as it arrives.  A file source has all its
-    // sections upfront; a socket source streams each one the moment the
-    // --shard-serve run finishes computing it, so the merge overlaps with
-    // the shards' work.
-    try {
-      // The merger is pinned to THIS invocation's grid fingerprint, so a
-      // merge run with different --samples/--seed than the shard runs
-      // fails instead of printing tables that belong to other options.
-      PartialMerger merger(cells.size(), merge_sources_.size(),
-                           grid_fingerprint(cells));
-      for (std::size_t f = 0; f < merge_sources_.size(); ++f) {
-        const wire::Frame frame = merge_sources_[f]->next(section);
-        if (frame.type != kFrameShardPartial) {
-          throw wire::Error("'" + merge_sources_[f]->name +
-                            "' section " + std::to_string(section) +
-                            " is not a shard partial");
-        }
-        wire::Reader r(frame.payload);
-        const ShardPartial partial = ShardPartial::decode(r);
-        r.expect_done();
-        try {
-          merger.apply(partial);
-        } catch (const wire::Error& e) {
-          throw wire::Error("'" + merge_sources_[f]->name + "': " +
-                            e.what());
-        }
+  if (!merge_journals_.empty()) {
+    // Merge mode: the union of every journal's committed cells of this
+    // sweep.  Each journal is checked against THIS invocation's grid, so a
+    // merge run with other --samples/--seed than the shards is refused
+    // instead of printing tables that belong to other options.
+    const std::uint64_t fingerprint = grid_fingerprint(cells);
+    std::vector<std::uint8_t> have(cells.size(), 0);
+    std::vector<ResultSet> results(cells.size());
+    for (std::size_t j = 0; j < merge_journals_.size(); ++j) {
+      const std::vector<recov::SweepState>& sweeps = merge_journals_[j].sweeps;
+      if (section >= sweeps.size()) {
+        continue;  // this journal's run never reached the sweep
       }
-      return merger.take();
-    } catch (const wire::Error& e) {
-      std::fprintf(stderr, "merge: %s\n", e.what());
-      std::exit(1);
-    }
-  }
-
-  // shard_mode covers the degenerate --shard=0/1 (one shard owning every
-  // cell): it still writes/streams the partial instead of silently
-  // running in normal mode.
-  if (opts_.shard_mode) {
-    // Shard mode: evaluate the owned cells, append one partial section.
-    const std::vector<std::size_t> owned =
-        shard_cell_indices(cells.size(), opts_.shard);
-    std::vector<Scenario> owned_cells;
-    owned_cells.reserve(owned.size());
-    for (std::size_t index : owned) {
-      owned_cells.push_back(cells[index]);
-    }
-    // Cells keep their original grid index through the remap - plans and
-    // cell_fns that vary along the grid (e.g. "merge the exact backend
-    // for the first four cells") must see it, not the local position.
-    const PlanFn owned_plan_fn =
-        plan_fn == nullptr
-            ? PlanFn()
-            : PlanFn([&](const Scenario& cell, std::size_t local) {
-                return (*plan_fn)(cell, owned[local]);
-              });
-    const std::vector<CellOutcome> outcomes = evaluate(
-        owned_cells,
-        [&](const Scenario& cell, std::size_t local) {
-          return cell_fn(cell, owned[local]);
-        },
-        plan_fn == nullptr ? nullptr : &owned_plan_fn);
-    bool failed = false;
-    for (std::size_t k = 0; k < outcomes.size(); ++k) {
-      if (!outcomes[k].ok()) {
-        std::fprintf(stderr, "sweep cell %zu failed: %s\n", owned[k],
-                     outcomes[k].error.c_str());
-        failed = true;
-      }
-    }
-    if (failed) {
-      std::exit(1);
-    }
-    ShardPartial partial;
-    partial.shard = opts_.shard;
-    partial.total_cells = cells.size();
-    partial.fingerprint = grid_fingerprint(cells);
-    partial.results.reserve(owned.size());
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      partial.results.emplace_back(owned[k], outcomes[k].result);
-    }
-    wire::Writer payload;
-    partial.encode(payload);
-    const std::vector<std::byte> frame =
-        wire::seal_frame(kFrameShardPartial, payload.data());
-    if (opts_.shard_serve) {
-      // Stream the section to the one --merge peer the moment it exists;
-      // the merge applies it while later sweeps are still computing.
-      if (shard_conn_ == nullptr) {
-        try {
-          shard_conn_ = std::make_unique<net::FrameConn>(
-              shard_listener_->accept_client());
-        } catch (const net::Error& e) {
-          std::fprintf(stderr, "shard: %s\n", e.what());
-          std::exit(1);
-        }
-      }
-      if (!shard_conn_->send_frame(frame)) {
-        std::fprintf(stderr,
-                     "shard: the --merge peer hung up before taking sweep "
-                     "section %zu\n",
-                     section);
+      recov::ResumePlan plan;
+      try {
+        plan = recov::plan_resume(sweeps[section], cells.size(), fingerprint);
+      } catch (const wire::Error& e) {
+        std::fprintf(stderr, "merge: '%s' sweep %zu: %s\n",
+                     opts_.merge_inputs[j].c_str(), section, e.what());
         std::exit(1);
       }
-      return std::nullopt;
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (plan.committed[i] != 0 && have[i] == 0) {
+          have[i] = 1;
+          results[i] = std::move(plan.results[i]);
+        }
+      }
     }
-    partial_bytes_.insert(partial_bytes_.end(), frame.begin(), frame.end());
-    try {
-      // Rewritten after every sweep so the file is complete once the bench
-      // exits (benches run a fixed sequence of sweeps).  Atomic (temp file
-      // + rename): a crash mid-rewrite leaves the previous sweep's
-      // complete partial, never a torn file that would poison the merge.
-      wire::write_file_atomic(opts_.shard_out, partial_bytes_);
-    } catch (const wire::Error& e) {
-      std::fprintf(stderr, "shard: %s\n", e.what());
-      std::exit(1);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (have[i] == 0) {
+        std::string sources;
+        for (const std::string& input : opts_.merge_inputs) {
+          sources += sources.empty() ? "" : ", ";
+          sources += input;
+        }
+        std::fprintf(stderr,
+                     "merge: sweep %zu: cell %zu is in none of the journals "
+                     "(%s) - a shard is missing or did not finish; run or "
+                     "--resume it\n",
+                     section, i, sources.c_str());
+        std::exit(1);
+      }
     }
-    return std::nullopt;
+    return results;
   }
 
   std::vector<CellOutcome> outcomes;
   if (journal_ != nullptr) {
     const std::uint64_t fingerprint = grid_fingerprint(cells);
-    std::size_t precommitted = 0;
+    // The cells this run does not evaluate reach the dispatch core as
+    // pre-committed: under --shard the cells other shards own (with empty
+    // outcomes, never journaled or returned), and under --resume the
+    // journal's winners (the redo pass).
+    std::vector<std::uint8_t> done;
+    std::vector<CellOutcome> seeded;
+    std::size_t owned = cells.size();
+    if (opts_.shard_mode) {
+      const std::vector<std::size_t> mine =
+          shard_cell_indices(cells.size(), opts_.shard);
+      done.assign(cells.size(), 1);
+      for (std::size_t i : mine) {
+        done[i] = 0;
+      }
+      owned = mine.size();
+    }
+    std::size_t recovered = 0;  // owned cells already in the journal
     if (resume_state_ != nullptr &&
         section < resume_state_->sweeps.size()) {
-      // The redo pass: seed the dispatch core with the journal's winners;
-      // only the losers reach a worker.  A journal written by a different
-      // sweep (fingerprint or cell-count mismatch) is refused with exit 2
-      // before anything evaluates.
+      // A journal written by a different sweep (fingerprint or cell-count
+      // mismatch) is refused with exit 2 before anything evaluates.
       recov::ResumePlan plan;
       try {
         plan = recov::plan_resume(resume_state_->sweeps[section],
@@ -765,19 +600,23 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
         std::fprintf(stderr, "resume: %s\n", e.what());
         std::exit(2);
       }
-      precommitted = plan.committed_cells();
-      std::vector<CellOutcome> seeded(cells.size());
+      done.resize(cells.size(), 0);
+      seeded.resize(cells.size());
       for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (plan.committed[i] != 0) {
+        if (plan.committed[i] != 0 && done[i] == 0) {
+          done[i] = 1;
           seeded[i].result = std::move(plan.results[i]);
+          ++recovered;
         }
       }
-      core_->set_precommitted(std::move(plan.committed), std::move(seeded));
       std::fprintf(stderr,
                    "journal: sweep %zu: %zu/%zu cells already committed, "
                    "evaluating %zu\n",
-                   section, precommitted, cells.size(),
-                   cells.size() - precommitted);
+                   section, recovered, owned, owned - recovered);
+    }
+    if (!done.empty()) {
+      seeded.resize(cells.size());
+      core_->set_precommitted(std::move(done), std::move(seeded));
     }
     char digest[96];
     std::snprintf(digest, sizeof(digest),
@@ -807,8 +646,8 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
             std::chrono::steady_clock::now() - t0)
             .count();
     recov::SweepEndStats stats;
-    stats.committed_cells = cells.size();
-    stats.evaluated_cells = cells.size() - precommitted;
+    stats.committed_cells = owned;
+    stats.evaluated_cells = owned - recovered;
     stats.wall_ms = static_cast<std::uint64_t>(wall_ms);
     stats.cells_per_sec =
         1000.0 * static_cast<double>(stats.evaluated_cells) /
@@ -830,8 +669,7 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
   } else {
     outcomes = evaluate(cells, cell_fn, plan_fn);
   }
-  std::vector<ResultSet> results;
-  results.reserve(outcomes.size());
+  // A shard's unowned cells carry empty, successful outcomes.
   bool failed = false;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].ok()) {
@@ -843,6 +681,11 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
   if (failed) {
     std::exit(1);
   }
+  if (opts_.shard_mode) {
+    return std::nullopt;  // the owned cells are in the journal
+  }
+  std::vector<ResultSet> results;
+  results.reserve(outcomes.size());
   for (CellOutcome& outcome : outcomes) {
     results.push_back(std::move(outcome.result));
   }

@@ -58,22 +58,19 @@
 //                  10000; raise it when stolen-from stragglers need longer
 //                  than that to flush a batch between sweeps)
 //   --shard=i/k    evaluate only shard i of a k-way split of every sweep
-//                  and write the results as a wire partial file instead of
-//                  printing tables
-//   --shard-out=F  where --shard writes the partial (default
-//                  shard-<i>-of-<k>.rbxw)
-//   --shard-serve=PORT
-//                  with --shard: instead of a file, listen on PORT and
-//                  stream each sweep's ShardPartial frame to the one
-//                  --merge peer that connects (0 = ephemeral, printed on
-//                  stderr)
-//   --merge=SRC1,SRC2,...
-//                  print the tables from k partial sources instead of
-//                  evaluating; a source is a partial file path or a
-//                  HOST:PORT of a --shard-serve run, and socket sources
-//                  are merged as the shards stream in.  Byte-identical to
-//                  an unsharded run; partials from a different grid
-//                  (fingerprint mismatch) are refused loudly
+//                  (the cells with index % k == i) and journal them
+//                  instead of printing tables: the shard is a journaled
+//                  sweep whose other cells count as already committed.
+//                  The journal is --journal=FILE (default
+//                  shard-<i>-of-<k>.rbxj); a killed shard continues with
+//                  --resume=FILE --shard=i/k
+//   --merge=J1,J2,...
+//                  print the tables from sweep journals instead of
+//                  evaluating: every sweep takes the union of the
+//                  journals' committed cells.  Byte-identical to an
+//                  unsharded run; a journal from a different grid
+//                  (fingerprint mismatch) or a cell in none of the
+//                  journals is refused loudly with exit 1
 //   --journal=FILE start a fresh crash-durable sweep journal at FILE
 //                  (recov/journal.h): every committed cell is logged the
 //                  moment its outcome is final, so a killed run can be
@@ -92,7 +89,7 @@
 // Parsing is strict: an unknown flag, a malformed number, a negative value,
 // --threads=0, --streams=0, --shard=3/2, --connect=host (no port), --steal
 // without a worker lane, --journal together with --resume, either with
-// --shard or --merge (they evaluate elsewhere or not at all), or --no-cache
+// --merge (it evaluates nothing), --merge with --shard, or --no-cache
 // without a --connect or --fleet lane prints a usage message to stderr and
 // exits with status 2 (a typo'd flag silently falling back to defaults
 // once cost a day of benchmarking against the wrong sample count).
@@ -113,10 +110,6 @@
 #include "net/socket.h"
 
 namespace rbx {
-
-namespace net {
-class FrameConn;  // net/frame.h
-}
 
 namespace recov {
 class JournalWriter;      // recov/journal.h; kept out of every bench TU
@@ -147,12 +140,10 @@ struct ExperimentOptions {
   std::size_t handshake_timeout_ms = 10000;  // --connect: Hello deadline
   bool shard_mode = false;   // --shard given (covers the 0/1 degenerate)
   ShardSpec shard;           // {0, 1} = unsharded
-  std::string shard_out;     // partial file path; set for file-mode shards
-  bool shard_serve = false;  // stream partials to a --merge peer instead
-  std::uint16_t shard_serve_port = 0;
-  std::vector<std::string> merge_inputs;  // non-empty = merge mode; each a
-                                          // file path or HOST:PORT source
+  std::vector<std::string> merge_inputs;  // non-empty = merge mode: the
+                                          // journals to merge
   std::string journal;       // --journal: start a fresh sweep journal here
+                             // (a --shard run defaults it)
   std::string resume;        // --resume: recover + append to this journal
   bool no_cache = false;     // --no-cache: bypass worker result caches
 
@@ -168,17 +159,17 @@ struct ExperimentOptions {
 //               default; a ForkLane with --workers; a TcpLane with
 //               --connect or a FleetLane with --fleet; any mix at once)
 //               through one DispatchCore and hand the results back;
-//   --shard=i/k evaluate only the owned cells of each sweep, append one
-//               ShardPartial section per run() call to the partial file
-//               (or stream it to the --merge peer with --shard-serve),
-//               and return std::nullopt - the bench skips its printing
-//               and exits after its last sweep;
-//   --merge     evaluate nothing; take the next ShardPartial section from
-//               every input source - a file, or a socket streaming shards
-//               as they finish - and return the merged full result vector.
+//   --shard=i/k evaluate only the owned cells of each sweep, journal them
+//               (the other cells are pre-committed with empty outcomes, so
+//               every owned cell keeps its grid index), and return
+//               std::nullopt - the bench skips its printing and exits
+//               after its last sweep;
+//   --merge     evaluate nothing; return the union of every input
+//               journal's committed cells for this sweep, refusing a
+//               journal from another grid or a cell no journal holds.
 //
-// Benches call run() once per grid, in a fixed order, so section s of every
-// partial source corresponds to the bench's s-th sweep.  A failed cell (a
+// Benches call run() once per grid, in a fixed order, so sweep s of every
+// journal corresponds to the bench's s-th sweep.  A failed cell (a
 // throwing cell_fn or a crashed worker) prints the per-cell errors and
 // exits 1 - a bench table with silently missing rows would be worse.
 //
@@ -190,7 +181,7 @@ struct ExperimentOptions {
 //
 //   SweepRunner runner(opts);
 //   const auto results = runner.run(cells, plan_fn);
-//   if (!results) return 0;            // --shard: partial written
+//   if (!results) return 0;            // --shard: owned cells journaled
 //   ... print tables from *results ...
 class SweepRunner {
  public:
@@ -213,13 +204,7 @@ class SweepRunner {
   std::optional<std::vector<ResultSet>> run(
       const std::vector<Scenario>& cells, const EvalBackend& backend);
 
-  // The port a --shard-serve run is listening on (0 when not serving);
-  // useful with --shard-serve=0 (ephemeral).
-  std::uint16_t shard_serve_port() const;
-
  private:
-  struct MergeSource;  // a partial file, or a socket streaming partials
-
   std::optional<std::vector<ResultSet>> run_impl(
       const std::vector<Scenario>& cells, const CellFn& cell_fn,
       const PlanFn* plan_fn);
@@ -229,10 +214,9 @@ class SweepRunner {
 
   ExperimentOptions opts_;
   std::size_t sweep_index_ = 0;
-  std::vector<std::byte> partial_bytes_;           // shard-to-file mode
-  std::unique_ptr<net::Listener> shard_listener_;  // --shard-serve
-  std::unique_ptr<net::FrameConn> shard_conn_;     // the one merge peer
-  std::vector<std::unique_ptr<MergeSource>> merge_sources_;
+  // --merge: the analysis of each input journal, in opts_.merge_inputs
+  // order.
+  std::vector<recov::JournalAnalysis> merge_journals_;
   // The lanes serve the whole bench run (a TCP lane's worker connections
   // persist across sweeps); the core over them is declared after them so
   // it is destroyed first.  No lanes and no core in merge mode.

@@ -46,8 +46,8 @@
 namespace rbx {
 
 // --- cluster control frames ----------------------------------------------
-// (the data frames kFrameCellBatch/kFrameResultBatch/kFrameShardPartial
-// are 1..3, in core/executor.h)
+// (the data frames kFrameCellBatch/kFrameResultBatch are 1..2, in
+// core/executor.h)
 
 inline constexpr std::uint16_t kFrameHello = 16;
 inline constexpr std::uint16_t kFrameHelloAck = 17;

@@ -9,8 +9,8 @@
 // HelloAck / Error) are re-exported here from core for the worker daemon
 // and its tests.
 //
-// On top of the executor-layer frames (kFrameCellBatch / kFrameResultBatch
-// / kFrameShardPartial) the cluster protocol adds a handshake:
+// On top of the executor-layer frames (kFrameCellBatch / kFrameResultBatch)
+// the cluster protocol adds a handshake:
 //
 //   coordinator -> worker   kFrameHello    protocol version, wire version,
 //                                          grid fingerprint, cell total

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <unordered_set>
 #include <utility>
 
 #include "support/io.h"
@@ -131,9 +132,12 @@ JournalAnalysis analyze_journal_bytes(const std::byte* data,
   analysis.valid_bytes = scan.valid_bytes;
   analysis.dropped_bytes = size - scan.valid_bytes;
   analysis.torn_tail = scan.torn_tail;
-  // One committed-mask per sweep for O(1) duplicate detection (a resumed
-  // run that crashed may have re-committed cells an earlier run logged).
-  std::vector<std::vector<std::uint8_t>> seen;
+  // The committed cell indices of each sweep, for duplicate detection (a
+  // resumed run that crashed may have re-committed cells an earlier run
+  // logged).  A set, not a mask sized by total_cells: that count comes
+  // from the file, and a journal copied from another host must not be
+  // able to size an allocation.
+  std::vector<std::unordered_set<std::uint64_t>> seen;
   for (const wire::Frame& frame : scan.records) {
     // Each record is CRC-authentic; semantic violations from here on are
     // real corruption (or a foreign file), not tail damage - throw.
@@ -156,7 +160,7 @@ JournalAnalysis analyze_journal_bytes(const std::byte* data,
         state.total_cells = total_cells;
         state.options = options;
         analysis.sweeps.push_back(std::move(state));
-        seen.emplace_back(total_cells, 0);
+        seen.emplace_back();
       } else {
         // A resumed run re-begins the sweep; the repeat must describe the
         // same grid or the journal mixes two different runs.
@@ -185,8 +189,7 @@ JournalAnalysis analyze_journal_bytes(const std::byte* data,
                           " beyond its " +
                           std::to_string(state.total_cells) + " cells");
       }
-      if (seen[sweep][cell] == 0) {
-        seen[sweep][cell] = 1;
+      if (seen[sweep].insert(cell).second) {
         state.committed.emplace_back(static_cast<std::size_t>(cell),
                                      std::move(result));
       }

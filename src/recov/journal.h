@@ -57,8 +57,8 @@
 namespace rbx {
 namespace recov {
 
-// Journal record frame types (disjoint from the executor data frames 1..3
-// and the cluster control frames 16..18, so a journal fed to a frame
+// Journal record frame types (disjoint from the executor data frames 1..2
+// and the cluster control frames 16..20, so a journal fed to a frame
 // stream - or vice versa - is rejected by type, not misread).
 inline constexpr std::uint16_t kRecordSweepBegin = 32;
 inline constexpr std::uint16_t kRecordCellCommitted = 33;
@@ -91,6 +91,7 @@ std::vector<std::byte> read_file_bytes(const std::string& path,
 // Perf counters of one completed sweep, carried in kRecordSweepEnd.
 struct SweepEndStats {
   std::uint64_t committed_cells = 0;  // final committed count of the sweep
+                                      // (a --shard run: its owned cells)
   std::uint64_t evaluated_cells = 0;  // evaluated by *this* run (a resumed
                                       // run evaluates only the losers)
   std::uint64_t wall_ms = 0;          // this run's evaluation wall-clock

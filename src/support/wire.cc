@@ -240,36 +240,5 @@ void write_file_atomic(const std::string& path,
   }
 }
 
-std::vector<Frame> read_frames(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw Error("wire: cannot open '" + path + "' for reading");
-  }
-  std::vector<std::byte> data;
-  std::byte chunk[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    data.insert(data.end(), chunk, chunk + got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw Error("wire: read error on '" + path + "'");
-  }
-  std::vector<Frame> frames;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    Frame frame;
-    std::size_t consumed = 0;
-    if (!parse_frame(data.data() + pos, data.size() - pos, &frame,
-                     &consumed)) {
-      throw Error("wire: truncated frame at end of '" + path + "'");
-    }
-    frames.push_back(std::move(frame));
-    pos += consumed;
-  }
-  return frames;
-}
-
 }  // namespace wire
 }  // namespace rbx

@@ -2,9 +2,10 @@
 //
 // Sharding a sweep across processes and hosts needs a stable wire form for
 // both the experiment definition (Scenario) and its results (ResultSet) -
-// the executors in core/executor.h ship cell batches to forked workers and
-// collect result frames back, and `--shard=i/k` runs exchange partial
-// result files between hosts.  Like the checkpoint state of the recovery
+// the lanes in core/lane.h ship cell batches to forked workers and remote
+// daemons and collect result frames back, and the sweep journal
+// (recov/journal.h) that `--shard=i/k` runs exchange between hosts is a
+// sequence of these frames.  Like the checkpoint state of the recovery
 // blocks themselves (runtime/serializable.h), everything on the wire must
 // round-trip bit-exactly: a double that changes in the last ulp would break
 // the sweep determinism contract (bitwise-identical tables for any
@@ -142,16 +143,14 @@ std::vector<std::byte> seal_frame(std::uint16_t type,
 bool parse_frame(const std::byte* data, std::size_t size, Frame* out,
                  std::size_t* consumed);
 
-// File helpers for shard partial exchange: a file is a plain sequence of
-// frames.  read_frames throws wire::Error on trailing garbage or truncation
-// and on I/O failure.
+// Writes `data` to `path`, replacing any previous contents.  Throws
+// wire::Error on I/O failure.
 void write_file(const std::string& path, const std::vector<std::byte>& data);
 // Crash-safe variant: writes to path + ".tmp", fsyncs, then renames over
 // `path` - a crash mid-write leaves the previous complete file (or no
 // file), never a torn one.  Throws wire::Error on any failure.
 void write_file_atomic(const std::string& path,
                        const std::vector<std::byte>& data);
-std::vector<Frame> read_frames(const std::string& path);
 
 }  // namespace wire
 }  // namespace rbx

@@ -1,18 +1,21 @@
 // The evaluation determinism contract: the same expanded grid produces
 // bitwise-identical results on 1 thread, N threads, M forked worker
-// processes, and a sharded-then-merged split - plus the failure semantics
-// (throwing cell_fn -> per-cell error; crashed worker -> per-cell error,
-// not a hung sweep).
+// processes, and shard journals merged back together - plus the failure
+// semantics (throwing cell_fn -> per-cell error; crashed worker ->
+// per-cell error, not a hung sweep).
 #include "core/executor.h"
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
 #include "core/dispatch.h"
+#include "core/experiment.h"
 #include "core/lane.h"
 #include "core/sweep.h"
 
@@ -44,6 +47,17 @@ std::vector<CellOutcome> run_on(Lane& lane, const std::vector<Scenario>& cells,
   return DispatchCore({&lane}, options).run(cells, fn).outcomes;
 }
 
+// A bench command line: "bench" followed by `args`.
+ExperimentOptions bench_options(std::vector<std::string> args) {
+  std::string prog = "bench";
+  std::vector<char*> argv{prog.data()};
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return ExperimentOptions::parse(static_cast<int>(argv.size()), argv.data(),
+                                  300, 4);
+}
+
 std::vector<ResultSet> results_of(const std::vector<CellOutcome>& outcomes) {
   std::vector<ResultSet> out;
   for (const CellOutcome& outcome : outcomes) {
@@ -64,31 +78,25 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   const auto threaded = results_of(run_on(eight, cells, fn));
   const auto forked = results_of(run_on(forks, cells, fn, /*batch=*/1));
 
-  // Sharded: evaluate each half independently, then merge.
-  std::vector<ShardPartial> partials;
-  for (std::size_t shard_index = 0; shard_index < 2; ++shard_index) {
-    const ShardSpec spec{shard_index, 2};
-    const std::vector<std::size_t> owned =
-        shard_cell_indices(cells.size(), spec);
-    std::vector<Scenario> owned_cells;
-    for (std::size_t index : owned) {
-      owned_cells.push_back(cells[index]);
-    }
-    ThreadLane lane(2);
-    const auto outcomes = run_on(
-        lane, owned_cells, [&](const Scenario& cell, std::size_t local) {
-          return fn(cell, owned[local]);
-        });
-    ShardPartial partial;
-    partial.shard = spec;
-    partial.total_cells = cells.size();
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      EXPECT_TRUE(outcomes[k].ok());
-      partial.results.emplace_back(owned[k], outcomes[k].result);
-    }
-    partials.push_back(std::move(partial));
+  // Sharded: two --shard runs journal their halves of the grid, and a
+  // --merge run unions the journals.
+  const std::string journals[] = {
+      ::testing::TempDir() + "executor_shard0.rbxj",
+      ::testing::TempDir() + "executor_shard1.rbxj"};
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::string shard = "--shard=";
+    shard += std::to_string(k);
+    shard += "/2";
+    SweepRunner runner(
+        bench_options({"--threads=2", shard, "--journal=" + journals[k]}));
+    EXPECT_FALSE(runner.run(cells, fn).has_value());
   }
-  const std::vector<ResultSet> merged = merge_shard_partials(partials);
+  SweepRunner merger(
+      bench_options({"--merge=" + journals[0] + "," + journals[1]}));
+  const std::vector<ResultSet> merged = *merger.run(cells, fn);
+  for (const std::string& journal : journals) {
+    std::remove(journal.c_str());
+  }
 
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(threaded.size(), cells.size());
@@ -98,43 +106,6 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
     EXPECT_EQ(serial[i], threaded[i]) << "threaded cell " << i;
     EXPECT_EQ(serial[i], forked[i]) << "forked cell " << i;
     EXPECT_EQ(serial[i], merged[i]) << "merged cell " << i;
-  }
-}
-
-TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
-  // The partial actually exchanged between hosts goes through encode() ->
-  // frame -> decode(); pin that path, not just the in-memory merge.
-  const std::vector<Scenario> cells = mc_grid(23);
-  const CellFn fn = backend_fn();
-  ThreadLane lane(1);
-  const auto reference = results_of(run_on(lane, cells, fn));
-
-  std::vector<ShardPartial> partials;
-  for (std::size_t shard_index = 0; shard_index < 3; ++shard_index) {
-    const ShardSpec spec{shard_index, 3};
-    ShardPartial partial;
-    partial.shard = spec;
-    partial.total_cells = cells.size();
-    for (std::size_t index : shard_cell_indices(cells.size(), spec)) {
-      partial.results.emplace_back(index, reference[index]);
-    }
-    wire::Writer w;
-    partial.encode(w);
-    const std::vector<std::byte> frame =
-        wire::seal_frame(kFrameShardPartial, w.data());
-    wire::Frame parsed;
-    std::size_t consumed = 0;
-    ASSERT_TRUE(
-        wire::parse_frame(frame.data(), frame.size(), &parsed, &consumed));
-    ASSERT_EQ(parsed.type, kFrameShardPartial);
-    wire::Reader r(parsed.payload);
-    partials.push_back(ShardPartial::decode(r));
-    r.expect_done();
-  }
-  const std::vector<ResultSet> merged = merge_shard_partials(partials);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(merged[i], reference[i]) << "cell " << i;
   }
 }
 
@@ -324,118 +295,6 @@ TEST(ShardSpecTest, PartitionIsDisjointAndComplete) {
   }
 }
 
-TEST(ShardMergeTest, RejectsInconsistentPartials) {
-  ResultSet r("test", "cell");
-  r.set("x", 1.0);
-  const auto make_partial = [&](std::size_t index, std::size_t count,
-                                std::size_t total) {
-    ShardPartial p;
-    p.shard = ShardSpec{index, count};
-    p.total_cells = total;
-    for (std::size_t cell : shard_cell_indices(total, p.shard)) {
-      p.results.emplace_back(cell, r);
-    }
-    return p;
-  };
-
-  // Missing shard.
-  EXPECT_THROW(merge_shard_partials({make_partial(0, 2, 4)}), wire::Error);
-  // Duplicate shard.
-  EXPECT_THROW(
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(0, 2, 4)}),
-      wire::Error);
-  // Disagreeing grid sizes.
-  EXPECT_THROW(
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(1, 2, 6)}),
-      wire::Error);
-  // Missing cell inside an otherwise consistent split.
-  ShardPartial incomplete = make_partial(1, 2, 4);
-  incomplete.results.pop_back();
-  EXPECT_THROW(merge_shard_partials({make_partial(0, 2, 4), incomplete}),
-               wire::Error);
-  // Partials from differently-parameterized runs (e.g. mismatched
-  // --samples or --seed) carry different grid fingerprints and must not
-  // merge into silently wrong tables.
-  ShardPartial foreign = make_partial(1, 2, 4);
-  foreign.fingerprint = 0xdeadbeefULL;
-  try {
-    merge_shard_partials({make_partial(0, 2, 4), foreign});
-    FAIL() << "expected wire::Error";
-  } catch (const wire::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos);
-  }
-  // The happy path for contrast.
-  const auto merged =
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(1, 2, 4)});
-  EXPECT_EQ(merged.size(), 4u);
-}
-
-TEST(PartialMergerTest, StreamsPartialsInAnyOrderAndRejectsStragglers) {
-  ResultSet r("test", "cell");
-  r.set("x", 2.0);
-  const auto make_partial = [&](std::size_t index, std::size_t count,
-                                std::size_t total) {
-    ShardPartial p;
-    p.shard = ShardSpec{index, count};
-    p.total_cells = total;
-    p.fingerprint = 99;
-    for (std::size_t cell : shard_cell_indices(total, p.shard)) {
-      p.results.emplace_back(cell, r);
-    }
-    return p;
-  };
-
-  PartialMerger merger(7, 3, 99);
-  EXPECT_FALSE(merger.complete());
-  // Arrival order is whatever the network gives us, not shard order.
-  merger.apply(make_partial(2, 3, 7));
-  EXPECT_EQ(merger.applied_shards(), 1u);
-  EXPECT_THROW(merger.take(), wire::Error);  // cells still missing
-  merger.apply(make_partial(0, 3, 7));
-  // A duplicate or foreign partial is rejected without corrupting the
-  // merge already accumulated.
-  EXPECT_THROW(merger.apply(make_partial(0, 3, 7)), wire::Error);
-  EXPECT_THROW(merger.apply(make_partial(1, 2, 7)), wire::Error);
-  ShardPartial wrong_fingerprint = make_partial(1, 3, 7);
-  wrong_fingerprint.fingerprint = 100;
-  EXPECT_THROW(merger.apply(wrong_fingerprint), wire::Error);
-  EXPECT_FALSE(merger.complete());
-  merger.apply(make_partial(1, 3, 7));
-  EXPECT_TRUE(merger.complete());
-  const std::vector<ResultSet> merged = merger.take();
-  ASSERT_EQ(merged.size(), 7u);
-  for (const ResultSet& cell : merged) {
-    EXPECT_EQ(cell, r);
-  }
-}
-
-TEST(ShardPartialTest, CorruptTotalCellsRejectedAtDecode) {
-  // A flipped byte in the total_cells field must fail in decode with a
-  // wire::Error, not as a gigantic allocation inside the merge.
-  ResultSet r0("test", "cell");
-  r0.set("x", 1.0);
-  ShardPartial partial;
-  partial.shard = ShardSpec{0, 2};
-  partial.total_cells = 4;
-  partial.results.emplace_back(0, r0);
-  partial.results.emplace_back(2, r0);
-  wire::Writer w;
-  partial.encode(w);
-  std::vector<std::byte> bytes = w.data();
-  // total_cells is the third u64 of the payload (after index and count).
-  bytes[16] = static_cast<std::byte>(0xff);
-  bytes[22] = static_cast<std::byte>(0x7f);
-  wire::Reader reader(bytes);
-  try {
-    ShardPartial::decode(reader);
-    FAIL() << "expected wire::Error";
-  } catch (const wire::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("do not match the declared grid"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(GridFingerprintTest, SensitiveToEveryExperimentKnob) {
   const std::vector<Scenario> base = mc_grid(17);
   const std::uint64_t reference = grid_fingerprint(base);
@@ -453,8 +312,8 @@ TEST(GridFingerprintTest, SensitiveToEveryExperimentKnob) {
 }
 
 TEST(GridFingerprintTest, ValuesArePinned) {
-  // Journals and shard partials persist the fingerprint, and --resume
-  // refuses a journal whose fingerprint differs: an edit to the hash, the
+  // Journals persist the fingerprint, and --resume and --merge refuse a
+  // journal whose fingerprint differs: an edit to the hash, the
   // byte stream it covers or the grid expansion must not slip through
   // unnoticed.  The literals are the FNV-1a of the wire form.
   EXPECT_EQ(grid_fingerprint(mc_grid(17)), 0xa2150d622b67870cULL);

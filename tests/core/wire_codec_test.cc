@@ -220,28 +220,6 @@ TEST(ResultSetCodec, TruncatedAndCorruptFramesRejected) {
   EXPECT_THROW(ResultSet::decode(rc), wire::Error);
 }
 
-TEST(ShardPartialCodec, TruncationThrowsAtEveryPrefixLength) {
-  // The payload actually exchanged between hosts: a partial with two
-  // cells, truncated at every byte boundary, must always throw - never
-  // crash, never hand back a partial object.
-  ResultSet r0("analytic", "cell");
-  r0.set("x", 1.25);
-  r0.set("y", -3.5, 0.25, 100);
-  ShardPartial partial;
-  partial.shard = ShardSpec{0, 2};
-  partial.total_cells = 4;
-  partial.fingerprint = 0x1234abcdu;
-  partial.results.emplace_back(0, r0);
-  partial.results.emplace_back(2, r0);
-  wire::Writer w;
-  partial.encode(w);
-  const std::vector<std::byte>& bytes = w.data();
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    wire::Reader r(bytes.data(), keep);
-    EXPECT_THROW(ShardPartial::decode(r), wire::Error) << "prefix " << keep;
-  }
-}
-
 TEST(BatchCodec, CellAndResultBatchTruncationThrowsAtEveryPrefixLength) {
   CellBatch cell_batch;
   cell_batch.cells.push_back(BatchCell{

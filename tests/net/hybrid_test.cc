@@ -3,11 +3,8 @@
 // degrades to the local lanes instead of failing; and a daemon killed
 // mid-sweep that comes back is re-admitted - reconnected, re-handshaken
 // against the same grid fingerprint - without changing a byte of output.
-// Plus the merge-from-sockets path: --merge consuming a ShardPartial
-// stream from a socket next to a partial file.
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,11 +15,9 @@
 #include "core/backend.h"
 #include "core/dispatch.h"
 #include "core/executor.h"
-#include "core/experiment.h"
 #include "core/lane.h"
 #include "core/sweep.h"
 #include "net/cluster.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 
@@ -231,62 +226,6 @@ TEST(HybridDispatchTest, RestartedDaemonIsReadmittedMidSweep) {
   restart.join();
   steady.stop();
   steady_thread.join();
-}
-
-TEST(MergeFromSocketsTest, SocketAndFileSourcesMergeBitwise) {
-  // One shard arrives as a partial file, the other streams in over TCP
-  // from a (simulated) --shard-serve run; the merged tables match the
-  // unsharded reference bit for bit.
-  const std::vector<Scenario> cells = mc_grid(113);
-  const PlanFn plan = mc_plan();
-  const CellFn fn = local_fn_for(plan);
-  const std::vector<ResultSet> reference = direct_reference(cells, fn);
-  const std::uint64_t fingerprint = grid_fingerprint(cells);
-
-  const auto make_partial = [&](std::size_t index) {
-    ShardPartial partial;
-    partial.shard = ShardSpec{index, 2};
-    partial.total_cells = cells.size();
-    partial.fingerprint = fingerprint;
-    for (std::size_t cell : shard_cell_indices(cells.size(), partial.shard)) {
-      partial.results.emplace_back(cell, reference[cell]);
-    }
-    wire::Writer w;
-    partial.encode(w);
-    return wire::seal_frame(kFrameShardPartial, w.data());
-  };
-
-  // Shard 1 as a file.
-  const std::string path = "hybrid_merge_shard1.rbxw";
-  wire::write_file(path, make_partial(1));
-
-  // Shard 0 served over a socket, exactly one frame.
-  net::Listener listener(0);
-  std::thread server([&]() {
-    net::FrameConn conn(listener.accept_client());
-    conn.send_frame(make_partial(0));
-    wire::Frame sink;
-    conn.recv(&sink);  // hold the stream open until the merger hangs up
-  });
-
-  const std::string merge_arg = "--merge=127.0.0.1:" +
-                                std::to_string(listener.port()) + "," + path;
-  std::string prog = "bench";
-  std::string arg = merge_arg;
-  char* argv[] = {prog.data(), arg.data()};
-  const ExperimentOptions opts = ExperimentOptions::parse(2, argv, 200, 5);
-
-  {
-    SweepRunner runner(opts);
-    const auto merged = runner.run(cells, plan);
-    ASSERT_TRUE(merged.has_value());
-    ASSERT_EQ(merged->size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ((*merged)[i], reference[i]) << "cell " << i;
-    }
-  }
-  server.join();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // BenchReport: the BENCH_*.json schema round-trips, journal sweep-end
-// records import as synthetic kernels, and compare_reports flags exactly
-// the kernels that slowed past the threshold.
+// records (a shard's counting only its owned cells) import as synthetic
+// kernels, and compare_reports flags exactly the kernels that slowed past
+// the threshold.
 #include "perf/report.h"
 
 #include <cstdio>
@@ -8,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/backend.h"
+#include "core/experiment.h"
 #include "core/result.h"
+#include "core/sweep.h"
 #include "perf/json.h"
 #include "recov/journal.h"
 
@@ -118,6 +122,49 @@ TEST(BenchReportTest, ImportJournalSweepEnds) {
   EXPECT_EQ(r.kernels[0].name, "journal:trial:sweep0");
   EXPECT_EQ(r.kernels[0].layer, "sweep");
   EXPECT_EQ(r.kernels[0].ns_median, 20.0 * 1e6 / 4.0);
+  std::remove(path.c_str());
+}
+
+TEST(BenchReportTest, ImportShardJournalCountsOwnedCells) {
+  // What perf_bench --from-journal reads from a --shard=0/2 run of an
+  // 8-cell grid: the shard's 4 owned cells, not the grid's 8 - and after
+  // a --resume of the finished shard, 4 committed and 0 evaluated.
+  const std::string path = testing::TempDir() + "bench_import_shard.rbxj";
+  std::remove(path.c_str());
+  const auto apply_n = [](Scenario& s, double n) {
+    s.params(ProcessSetParams::symmetric(static_cast<std::size_t>(n), 1.0,
+                                         1.0));
+  };
+  const std::vector<Scenario> cells =
+      SweepGrid(Scenario::symmetric(2, 1.0, 1.0))
+          .axis({2, 3, 4, 5}, apply_n)
+          .schemes({SchemeKind::kAsynchronous, SchemeKind::kSynchronized})
+          .expand(7);
+  const auto run_shard = [&cells](std::string journal_flag) {
+    std::string prog = "bench";
+    std::string threads = "--threads=2";
+    std::string shard = "--shard=0/2";
+    char* argv[] = {prog.data(), threads.data(), shard.data(),
+                    journal_flag.data()};
+    SweepRunner runner(ExperimentOptions::parse(4, argv, 100, 5));
+    EXPECT_FALSE(runner.run(cells, analytic_backend()).has_value());
+  };
+  run_shard("--journal=" + path);
+  BenchReport fresh;
+  import_journal(&fresh, path, "shard0");
+  ASSERT_EQ(fresh.sweeps.size(), 1u);
+  EXPECT_EQ(fresh.sweeps[0].committed_cells, 4u);
+  EXPECT_EQ(fresh.sweeps[0].evaluated_cells, 4u);
+  ASSERT_EQ(fresh.kernels.size(), 1u);
+  EXPECT_EQ(fresh.kernels[0].reps, 4u);
+
+  run_shard("--resume=" + path);
+  BenchReport resumed;
+  import_journal(&resumed, path, "shard0");
+  ASSERT_EQ(resumed.sweeps.size(), 1u);
+  EXPECT_EQ(resumed.sweeps[0].committed_cells, 4u);
+  EXPECT_EQ(resumed.sweeps[0].evaluated_cells, 0u);
+  EXPECT_TRUE(resumed.kernels.empty());  // nothing evaluated, no kernel
   std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/result.h"
+#include "recov/resume.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -185,6 +186,35 @@ TEST(JournalScanTest, CellBeyondSweepTotalIsSemanticCorruption) {
   bytes.insert(bytes.end(), c.begin(), c.end());
   EXPECT_THROW(analyze_journal_bytes(bytes.data(), bytes.size()),
                wire::Error);
+}
+
+TEST(JournalScanTest, HugeTotalCellsIsNotAnAllocation) {
+  // A CRC-valid begin whose total_cells is 2^60 (a flipped byte before
+  // the CRC was taken, or a hostile file from another host), with one
+  // commit far beyond any real grid.  The analysis must not size anything
+  // by those counts: it recovers them as data, and plan_resume refuses
+  // the count mismatch with a wire::Error before allocating.
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::vector<std::byte> bytes;
+  const auto b = seal_record(kRecordSweepBegin,
+                             begin_payload(0, 0xfeedu, huge, "x"));
+  const auto c = seal_record(kRecordCellCommitted,
+                             cell_payload(0, huge / 2, make_result(3)));
+  bytes.insert(bytes.end(), b.begin(), b.end());
+  bytes.insert(bytes.end(), c.begin(), c.end());
+  const JournalAnalysis a = analyze_journal_bytes(bytes.data(), bytes.size());
+  ASSERT_EQ(a.sweeps.size(), 1u);
+  EXPECT_EQ(a.sweeps[0].total_cells, huge);
+  ASSERT_EQ(a.sweeps[0].committed.size(), 1u);
+  EXPECT_EQ(a.sweeps[0].committed[0].first, huge / 2);
+  try {
+    plan_resume(a.sweeps[0], 4, 0xfeedu);
+    FAIL() << "expected wire::Error";
+  } catch (const wire::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("this sweep has 4"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JournalScanTest, ContradictoryReBeginIsSemanticCorruption) {

@@ -3,7 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,28 +179,30 @@ TEST(WireFrame, InsaneLengthFieldRejected) {
                wire::Error);
 }
 
-TEST(WireFile, WriteReadRoundTripAndTruncationError) {
-  const std::string path = ::testing::TempDir() + "wire_test_frames.rbxw";
+TEST(WireFile, WriteFileAndAtomicWriteRoundTrip) {
+  const std::string path = ::testing::TempDir() + "wire_test_frames.bin";
   wire::Writer p1;
   p1.str("one");
+  const std::vector<std::byte> data = wire::seal_frame(1, p1.data());
+  const auto read_back = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::vector<std::byte> bytes(text.size());
+    std::memcpy(bytes.data(), text.data(), text.size());
+    return bytes;
+  };
+  wire::write_file(path, data);
+  EXPECT_EQ(read_back(), data);
+
+  // The atomic variant replaces the whole file and leaves no temp file.
   wire::Writer p2;
   p2.str("two");
-  std::vector<std::byte> data = wire::seal_frame(1, p1.data());
   const std::vector<std::byte> second = wire::seal_frame(2, p2.data());
-  data.insert(data.end(), second.begin(), second.end());
-  wire::write_file(path, data);
-
-  const std::vector<wire::Frame> frames = wire::read_frames(path);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].type, 1);
-  EXPECT_EQ(frames[1].type, 2);
-
-  // Truncate the file mid-frame: loading must throw, not misparse.
-  data.pop_back();
-  wire::write_file(path, data);
-  EXPECT_THROW(wire::read_frames(path), wire::Error);
-
-  EXPECT_THROW(wire::read_frames(path + ".does-not-exist"), wire::Error);
+  wire::write_file_atomic(path, second);
+  EXPECT_EQ(read_back(), second);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
 }
 
 }  // namespace
