@@ -44,7 +44,7 @@
 //   EvalContext  the ambient StreamPool a cell may hand its streams to
 //                (core/eval_context.h).  A ThreadLane's worker threads
 //                are one pool: a cell runs on its own thread plus every
-//                worker with no frame pending, so one cell on
+//                worker with no batch pending, so one cell on
 //                --threads=4 runs 4-way with no extra thread.  A ForkLane
 //                child owns (workers / children raised - 1) helper
 //                threads and a sweep_workerd session (--eval-threads - 1);

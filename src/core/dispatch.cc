@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -43,10 +44,7 @@ struct Slot {
   int failed_revives = 0;   // consecutive failed revive attempts
   bool revived = false;     // current incarnation came from a revive
 
-  bool alive() const {
-    FrameChannel* ch = worker->channel();
-    return ch != nullptr && ch->open();
-  }
+  bool alive() const { return worker->fd() >= 0; }
 };
 
 }  // namespace
@@ -70,19 +68,15 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
   // Consume the one-shot resume seed (the journal's redo pass): these
   // outcomes are final before any worker starts.
   std::vector<std::uint8_t> pre;
-  if (have_precommitted_) {
-    have_precommitted_ = false;
-    std::vector<std::uint8_t> mask = std::move(precommitted_mask_);
-    std::vector<CellOutcome> seeded = std::move(precommitted_outcomes_);
-    precommitted_mask_.clear();
-    precommitted_outcomes_.clear();
-    if (mask.size() != cells.size() || seeded.size() != cells.size()) {
+  if (std::exchange(have_precommitted_, false)) {
+    pre = std::exchange(precommitted_mask_, {});
+    std::vector<CellOutcome> seeded = std::exchange(precommitted_outcomes_, {});
+    if (pre.size() != cells.size() || seeded.size() != cells.size()) {
       throw std::runtime_error(
           "dispatch: pre-committed mask does not match the grid (" +
-          std::to_string(mask.size()) + " entries, " +
+          std::to_string(pre.size()) + " entries, " +
           std::to_string(cells.size()) + " cells)");
     }
-    pre = std::move(mask);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (pre[i] != 0) {
         outcomes[i] = std::move(seeded[i]);
@@ -90,20 +84,26 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
     }
   }
 
-  if (cells.empty()) {
-    return result;
+  // --- shared per-cell bookkeeping ---
+  // Pre-committed cells (a resumed sweep's winners) enter already final:
+  // committed up front, never enqueued, invisible to the workers.
+  const std::uint64_t total = cells.size();
+  std::deque<std::size_t> queue;
+  std::vector<std::uint8_t> committed(total, 0);
+  std::size_t resolved = 0;  // final outcomes, answers and errors alike
+  for (std::size_t i = 0; i < total; ++i) {
+    if (!pre.empty() && pre[i] != 0) {
+      committed[i] = 1;
+      ++resolved;
+    } else {
+      queue.push_back(i);
+    }
   }
-
-  // A fully pre-committed sweep (resuming a journal that already ended) is
-  // done before any worker starts - don't raise lanes just to idle them.
-  if (!pre.empty()) {
-    bool all_committed = true;
-    for (std::size_t i = 0; i < cells.size() && all_committed; ++i) {
-      all_committed = pre[i] != 0;
-    }
-    if (all_committed) {
-      return result;
-    }
+  // An empty grid, or a fully pre-committed one (resuming a journal that
+  // already ended), is done before any worker starts - don't raise lanes
+  // just to idle them.
+  if (queue.empty()) {
+    return result;
   }
 
   std::vector<LaneWorker*> workers;
@@ -122,17 +122,13 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
     if (workers.empty()) {
       throw std::runtime_error("dispatch: no lane produced any workers");
     }
-    bool any_needs_plan = false;
-    for (LaneWorker* worker : workers) {
-      any_needs_plan = any_needs_plan || worker->needs_plan();
-    }
-    if (any_needs_plan && !plan_fn_) {
+    if (!plan_fn_ && std::any_of(workers.begin(), workers.end(),
+                                 [](LaneWorker* w) { return w->remote(); })) {
       throw std::runtime_error(
           "dispatch: a lane requires evaluation plans but no plan function "
           "is set (this sweep is local-only)");
     }
 
-    const std::uint64_t total = cells.size();
     // Only handshaking (remote) workers read the grid fingerprint, so the
     // whole-grid hash is taken on the first send_hello and memoized for
     // re-handshakes; thread and fork lanes never pay for it.
@@ -148,20 +144,6 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
       slots[i].worker = workers[i];
     }
 
-    // --- shared per-cell bookkeeping ---
-    // Pre-committed cells (a resumed sweep's winners) enter already final:
-    // committed up front, never enqueued, invisible to the workers.
-    std::deque<std::size_t> queue;
-    std::vector<std::uint8_t> committed(total, 0);
-    std::size_t resolved = 0;  // final outcomes, answers and errors alike
-    for (std::size_t i = 0; i < total; ++i) {
-      if (!pre.empty() && pre[i] != 0) {
-        committed[i] = 1;
-        ++resolved;
-      } else {
-        queue.push_back(i);
-      }
-    }
     // Cells already re-run once because a worker died holding them; a
     // second loss marks the cell itself as the problem.
     std::vector<std::uint8_t> requeued(total, 0);
@@ -171,13 +153,9 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
     std::vector<std::uint8_t> inflight(total, 0);
 
     const auto ready_count = [&]() {
-      std::size_t n = 0;
-      for (const Slot& slot : slots) {
-        if (slot.acked && slot.alive()) {
-          ++n;
-        }
-      }
-      return n;
+      return std::count_if(slots.begin(), slots.end(), [](const Slot& slot) {
+        return slot.acked && slot.alive();
+      });
     };
 
     // Schedules the next revival attempt of a lost worker, or gives up
@@ -239,19 +217,11 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
       schedule_revive(slot);
     };
 
-    // Ships `indices` to a worker as one batch; on success the worker
-    // owns them.  False = the send failed and nothing was recorded.
+    // Hands `indices` to a worker as one batch; on success the worker
+    // owns them.  False = the worker is gone and nothing was recorded.
     const auto send_batch = [&](Slot& slot,
                                 const std::vector<std::size_t>& indices) {
-      CellBatch batch;
-      batch.cells.reserve(indices.size());
-      const bool with_plan = slot.worker->needs_plan();
-      for (const std::size_t index : indices) {
-        batch.cells.push_back(
-            BatchCell{index, cells[index], with_plan,
-                      with_plan ? plan_fn_(cells[index], index) : EvalPlan{}});
-      }
-      if (!slot.worker->channel()->send_frame(batch.seal())) {
+      if (!slot.worker->submit(cells, indices, plan_fn_)) {
         return false;
       }
       for (const std::size_t index : indices) {
@@ -373,76 +343,64 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
     // Drains buffered frames on a worker awaiting its ack.  True = this
     // worker is settled (acked, or refused); false = still awaiting bytes.
     const auto check_ack = [&](Slot& slot) -> bool {
-      for (;;) {
+      FrameChannel& ch = *slot.worker->channel();
+      std::optional<std::string> refusal;
+      bool revivable = false;
+      try {
         wire::Frame ack;
-        try {
-          if (!slot.worker->channel()->pop(&ack)) {
-            return false;
-          }
+        while (!refusal && ch.pop(&ack)) {
+          wire::Reader r(ack.payload);
           if (ack.type == kFrameResultBatch) {
             // A stale answer from the previous sweep (this straggler's
             // tail was stolen and committed elsewhere); discard.
-            continue;
-          }
-          if (ack.type == kFrameError) {
-            wire::Reader r(ack.payload);
-            refuse(slot, r.str(), /*revivable=*/false);
-            return true;
-          }
-          if (ack.type == kFrameAuthChallenge) {
-            // The worker wants proof of the pre-shared key before acking.
-            wire::Reader r(ack.payload);
+          } else if (ack.type == kFrameError) {
+            refusal = r.str();
+          } else if (ack.type == kFrameAuthChallenge) {
+            // The worker wants proof of the pre-shared key before acking;
+            // the ack (or a refusal) follows.
             const std::string challenge = r.str();
             r.expect_done();
             const std::string mac = slot.worker->auth_response(challenge);
-            if (mac.empty()) {
-              refuse(slot,
-                     "worker demands authentication but this coordinator "
-                     "holds no key (--auth-key-file)",
-                     /*revivable=*/false);
-              return true;
-            }
             wire::Writer w;
             w.str(mac);
-            if (!slot.worker->channel()->send(kFrameAuthResponse, w.data())) {
-              refuse(slot, "connection lost during authentication",
-                     /*revivable=*/true);
+            if (mac.empty()) {
+              refusal =
+                  "worker demands authentication but this coordinator "
+                  "holds no key (--auth-key-file)";
+            } else if (!ch.send(kFrameAuthResponse, w.data())) {
+              refusal = "connection lost during authentication";
+              revivable = true;
+            }
+          } else if (ack.type != kFrameHelloAck) {
+            refusal = "unexpected frame type " + std::to_string(ack.type);
+          } else {
+            const Hello echo = Hello::decode(r);
+            r.expect_done();
+            if (echo.protocol != hello.protocol ||
+                echo.wire_version != hello.wire_version ||
+                echo.fingerprint != hello.fingerprint) {
+              refusal = "ack does not echo this sweep's handshake";
+            } else {
+              slot.awaiting_ack = false;
+              admitted(slot);
               return true;
             }
-            continue;  // the ack (or a refusal) follows
           }
-          if (ack.type != kFrameHelloAck) {
-            refuse(slot, "unexpected frame type " + std::to_string(ack.type),
-                   /*revivable=*/false);
-            return true;
-          }
-          wire::Reader r(ack.payload);
-          const Hello echo = Hello::decode(r);
-          r.expect_done();
-          if (echo.protocol != hello.protocol ||
-              echo.wire_version != hello.wire_version ||
-              echo.fingerprint != hello.fingerprint) {
-            refuse(slot, "ack does not echo this sweep's handshake",
-                   /*revivable=*/false);
-            return true;
-          }
-          slot.awaiting_ack = false;
-          admitted(slot);
-          return true;
-        } catch (const wire::Error& e) {
-          refuse(slot, std::string("malformed ack: ") + e.what(),
-                 /*revivable=*/false);
-          return true;
         }
+      } catch (const wire::Error& e) {
+        refusal = std::string("malformed ack: ") + e.what();
       }
+      if (refusal) {
+        refuse(slot, *refusal, revivable);
+      }
+      return refusal.has_value();
     };
 
     const auto send_hello = [&](Slot& slot) {
       // Per-worker amendments: an authenticated worker flags the auth
       // exchange, a fleet-leased worker attaches its registry grant.
-      if (!fingerprinted) {
+      if (!std::exchange(fingerprinted, true)) {
         hello.fingerprint = grid_fingerprint(cells);
-        fingerprinted = true;
       }
       Hello worker_hello = hello;
       slot.worker->prepare_hello(worker_hello);
@@ -465,7 +423,7 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
     // the pool: remote daemons re-handshake first, local workers are
     // ready at once.
     const auto admit = [&](Slot& slot) {
-      if (slot.worker->needs_handshake()) {
+      if (slot.worker->remote()) {
         send_hello(slot);
       } else {
         admitted(slot);
@@ -503,62 +461,45 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
       schedule_revive(slot);
     };
 
-    // Drains complete result frames from a busy worker; false = lost.
-    const auto process_frames = [&](Slot& slot) -> bool {
+    // Merges every answered batch a busy worker has posted; false = lost.
+    const auto collect = [&](Slot& slot) -> bool {
       for (;;) {
         if (!slot.alive()) {
           return false;
         }
-        wire::Frame frame;
+        ResultBatch batch;
+        std::string why;
+        const LaneWorker::Collect got = slot.worker->collect(&batch, &why);
+        if (got != LaneWorker::Collect::kBatch) {
+          if (got == LaneWorker::Collect::kLost) {
+            lose(slot, why);
+          }
+          return got == LaneWorker::Collect::kNone;
+        }
+        // Streaming merge with dedup: outcomes land the moment this batch
+        // arrives - unless a thief's copy of a cell already did.  The
+        // commit hook fires exactly for the 0->1 transitions of the
+        // committed mask (a duplicate answer must not re-journal).
+        std::vector<std::size_t> fresh;
         try {
-          if (!slot.worker->channel()->pop(&frame)) {
-            return true;
-          }
-          if (frame.type == kFrameError) {
-            wire::Reader r(frame.payload);
-            lose(slot, "worker error: " + r.str());
-            return false;
-          }
-          if (frame.type != kFrameResultBatch) {
-            lose(slot,
-                 "unexpected frame type " + std::to_string(frame.type));
-            return false;
-          }
-          wire::Reader r(frame.payload);
-          const ResultBatch batch = ResultBatch::decode(r);
-          r.expect_done();
-          // Streaming merge with dedup: outcomes land the moment this
-          // batch arrives - unless a thief's copy of a cell already did.
-          // The commit hook fires exactly for the 0->1 transitions of the
-          // committed mask (a duplicate answer must not re-journal).
-          std::vector<std::size_t> fresh;
-          if (commit_hook_) {
-            for (const std::size_t index : slot.outstanding) {
-              if (committed[index] == 0) {
-                fresh.push_back(index);
-              }
-            }
-          }
-          resolved +=
-              apply_result_batch(batch, slot.outstanding, outcomes,
-                                 &committed);
-          if (commit_hook_) {
-            for (const std::size_t index : fresh) {
-              if (committed[index] != 0) {
-                commit_hook_(index, outcomes[index]);
-              }
-            }
-          }
-          for (const std::size_t index : slot.outstanding) {
-            if (inflight[index] > 0) {
-              --inflight[index];
-            }
-          }
+          fresh = apply_result_batch(std::move(batch), slot.outstanding,
+                                     outcomes, &committed);
         } catch (const wire::Error& e) {
           // apply_result_batch applies atomically - a throwing batch
           // committed nothing, so every outstanding cell re-queues.
           lose(slot, std::string("malformed results: ") + e.what());
           return false;
+        }
+        resolved += fresh.size();
+        for (const std::size_t index : fresh) {
+          if (commit_hook_) {
+            commit_hook_(index, outcomes[index]);
+          }
+        }
+        for (const std::size_t index : slot.outstanding) {
+          if (inflight[index] > 0) {
+            --inflight[index];
+          }
         }
         slot.outstanding.clear();
         dispatch(slot);
@@ -609,11 +550,11 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
       std::vector<Slot*> fd_slot;
       for (Slot& slot : slots) {
         if (slot.connecting) {
-          fds.push_back(pollfd{slot.worker->channel()->fd(), POLLOUT, 0});
+          fds.push_back(pollfd{slot.worker->fd(), POLLOUT, 0});
           fd_slot.push_back(&slot);
         } else if (slot.alive() &&
                    (slot.awaiting_ack || !slot.outstanding.empty())) {
-          fds.push_back(pollfd{slot.worker->channel()->fd(), POLLIN, 0});
+          fds.push_back(pollfd{slot.worker->fd(), POLLIN, 0});
           fd_slot.push_back(&slot);
         }
       }
@@ -655,33 +596,23 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
         if (!slot.alive()) {
           continue;  // lost while handling an earlier fd this round
         }
+        // On EOF or a read error, an ack or answers may still be whole in
+        // the buffer (sent, then died): take them before the hang-up.
+        const bool open = slot.worker->receive();
         if (slot.awaiting_ack) {
-          if (!slot.worker->channel()->fill()) {
-            // EOF; the ack may still be whole in the buffer.
-            if (!check_ack(slot) && slot.awaiting_ack) {
-              refuse(slot, "connection closed before the ack",
-                     /*revivable=*/true);
-            }
-            continue;
+          if (!check_ack(slot) && !open) {
+            refuse(slot, "connection closed before the ack",
+                   /*revivable=*/true);
           }
-          check_ack(slot);
-          continue;
-        }
-        if (!slot.worker->channel()->fill()) {
-          // EOF or read error.  Frames may still be whole in the buffer
-          // (answered, then died): apply them before declaring the loss.
-          if (process_frames(slot) && slot.alive()) {
-            if (slot.outstanding.empty()) {
-              // Clean EOF between batches.
-              retire_slot(slot);
-              schedule_revive(slot);
-            } else {
-              lose(slot, "connection closed");
-            }
+        } else if (collect(slot) && !open && slot.alive()) {
+          if (slot.outstanding.empty()) {
+            // Clean EOF between batches.
+            retire_slot(slot);
+            schedule_revive(slot);
+          } else {
+            lose(slot, "connection closed");
           }
-          continue;
         }
-        process_frames(slot);
       }
 
       const auto tick = Clock::now();
@@ -703,10 +634,8 @@ SweepResult DispatchCore::run(const std::vector<Scenario>& cells,
 
     // Anything still queued could not be placed (every worker is gone and
     // none could be revived).
-    while (!queue.empty()) {
-      outcomes[queue.front()].error =
-          "no worker remaining to evaluate this cell";
-      queue.pop_front();
+    for (const std::size_t index : queue) {
+      outcomes[index].error = "no worker remaining to evaluate this cell";
     }
     // Abandon half-finished revives and half-done handshakes: an
     // unanswered Hello would leave the connection in an indeterminate

@@ -3,9 +3,9 @@
 // A cell queue, adaptive batch sizing, per-cell in-flight accounting
 // under a committed mask, straggler work stealing, loss reconciliation
 // and a streaming result merge, driving caller-owned Lanes
-// (core/lane.h): a worker is a framed channel, whether a thread, a forked
-// child or a TCP daemon on another host, and one poll loop feeds them
-// all.  Any mix of lanes runs as one sweep
+// (core/lane.h): a worker takes batches of cell indices and posts the
+// answers behind an fd one poll loop watches, be it a thread, a forked
+// child or a TCP daemon on another host.  Any mix of lanes runs as one sweep
 // (`--threads=8 --workers=4 --connect=a:1,b:2`), and because per-cell
 // seeds pin every evaluation, the output is byte-identical to a
 // single-threaded run no matter how the cells were dealt:
@@ -87,7 +87,7 @@ class DispatchCore {
   explicit DispatchCore(std::vector<Lane*> lanes,
                         DispatchOptions options = DispatchOptions());
 
-  // How workers that need_plan() (remote daemons) evaluate cells; local
+  // How remote() workers (remote daemons) evaluate cells; local
   // thread/fork workers always run cell_fn.  Must be set before run()
   // whenever a plan-needing lane is configured.
   void set_plan_fn(PlanFn plan_fn) { plan_fn_ = std::move(plan_fn); }

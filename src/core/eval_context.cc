@@ -17,19 +17,6 @@ namespace {
 
 thread_local EvalContext g_eval_context;  // defaults to no pool
 
-// The wake eventfd's counter is 1 while tasks are unclaimed and 0
-// otherwise: both edges are taken under the pool mutex, so a member that
-// finds nothing to claim always finds the fd drained and blocks.
-void raise_fd(int fd) {
-  const std::uint64_t one = 1;
-  io::write_all(fd, &one, sizeof(one));
-}
-
-void drain_fd(int fd) {
-  std::uint64_t count = 0;
-  io::read_some(fd, &count, sizeof(count));
-}
-
 }  // namespace
 
 const EvalContext& current_eval_context() { return g_eval_context; }
@@ -53,6 +40,9 @@ struct StreamPool::Job {
   std::vector<std::exception_ptr> errors;  // per task index
 };
 
+// The wake eventfd's counter is 1 while tasks are unclaimed and 0
+// otherwise: both edges are taken under the pool mutex, so a member that
+// finds nothing to claim always finds the fd drained and blocks.
 StreamPool::StreamPool(std::size_t helpers)
     : wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
   if (wake_fd_ < 0) {
@@ -73,7 +63,7 @@ StreamPool::~StreamPool() { stop(); }
 
 void StreamPool::stop() {
   stopping_.store(true);
-  raise_fd(wake_fd_);
+  io::raise_event(wake_fd_);
   for (std::thread& helper : helpers_) {
     helper.join();
   }
@@ -98,7 +88,7 @@ void StreamPool::run(std::size_t count, const Task& task) {
     std::lock_guard<std::mutex> lock(mutex_);
     open_jobs_.push_back(&job);
     if (unclaimed_ == 0) {
-      raise_fd(wake_fd_);
+      io::raise_event(wake_fd_);
     }
     unclaimed_ += count - 1;
   }
@@ -156,7 +146,7 @@ bool StreamPool::claim_locked(Job* only, Job** job_out,
     open_jobs_.erase(std::find(open_jobs_.begin(), open_jobs_.end(), job));
   }
   if (--unclaimed_ == 0) {
-    drain_fd(wake_fd_);
+    io::drain_event(wake_fd_);
   }
   return true;
 }

@@ -12,7 +12,7 @@
 //
 //   ThreadLane   the lane's own worker threads are the pool's members -
 //                the cell's thread claims streams in index order and any
-//                worker without a pending frame claims the rest, so a
+//                worker without a batch to evaluate claims the rest, so a
 //                cell uses up to min(streams, idle workers + 1) threads
 //                and no thread is ever created for it;
 //   ForkLane     each child owns a pool of (budget - 1) helper threads,

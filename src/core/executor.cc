@@ -1,6 +1,8 @@
 #include "core/executor.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "support/check.h"
 
@@ -125,40 +127,36 @@ std::vector<std::byte> ResultBatch::seal() const {
   return w.take();
 }
 
-std::size_t apply_result_batch(const ResultBatch& batch,
-                               const std::vector<std::size_t>& outstanding,
-                               std::vector<CellOutcome>& outcomes,
-                               std::vector<std::uint8_t>* committed) {
+std::vector<std::size_t> apply_result_batch(
+    ResultBatch&& batch, const std::vector<std::size_t>& outstanding,
+    std::vector<CellOutcome>& outcomes, std::vector<std::uint8_t>* committed) {
   // Validate the entire batch before writing anything.  Under a
   // committed mask a write is *final* - the cluster's lose() path will
   // never re-queue a committed cell - so a batch that turns out to
   // violate the protocol must fail atomically: none of a provably
   // misbehaving worker's answers can be trusted, and failing the whole
-  // batch re-runs all of its cells on a healthy worker.
-  std::vector<bool> answered(outstanding.size(), false);
+  // batch re-runs all of its cells on a healthy worker.  The answered
+  // and the asked-for indices must be equal as sorted lists.
+  std::vector<std::size_t> got;
+  got.reserve(batch.entries.size());
   for (const ResultBatch::Entry& entry : batch.entries) {
-    const std::size_t index = static_cast<std::size_t>(entry.index);
-    std::size_t slot = outstanding.size();
-    for (std::size_t b = 0; b < outstanding.size(); ++b) {
-      if (outstanding[b] == index && !answered[b]) {
-        slot = b;
-        break;
-      }
-    }
-    if (slot == outstanding.size()) {
-      throw wire::Error("worker answered cell " + std::to_string(index) +
-                        " which is not in its batch");
-    }
-    answered[slot] = true;
+    got.push_back(static_cast<std::size_t>(entry.index));
   }
-  for (std::size_t b = 0; b < answered.size(); ++b) {
-    if (!answered[b]) {
-      throw wire::Error("worker response is missing cell " +
-                        std::to_string(outstanding[b]));
-    }
+  std::vector<std::size_t> want = outstanding;
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  if (w == want.end() && g != got.end()) {
+    throw wire::Error("worker answered cell " + std::to_string(*g) +
+                      " which is not in its batch");
   }
-  std::size_t newly = 0;
-  for (const ResultBatch::Entry& entry : batch.entries) {
+  if (w != want.end()) {
+    throw wire::Error("worker response is missing cell " +
+                      std::to_string(*w));
+  }
+  std::vector<std::size_t> fresh;
+  for (ResultBatch::Entry& entry : batch.entries) {
     const std::size_t index = static_cast<std::size_t>(entry.index);
     if (committed != nullptr) {
       if ((*committed)[index] != 0) {
@@ -166,10 +164,10 @@ std::size_t apply_result_batch(const ResultBatch& batch,
       }
       (*committed)[index] = 1;
     }
-    outcomes[index] = entry.outcome;
-    ++newly;
+    outcomes[index] = std::move(entry.outcome);
+    fresh.push_back(index);
   }
-  return newly;
+  return fresh;
 }
 
 // --- sharding ------------------------------------------------------------

@@ -6,9 +6,8 @@
 //                          cell_fn, or a cell that was in flight on two
 //                          workers that died);
 //   CellBatch / ResultBatch
-//                          the kCellBatch / kResultBatch frames a
-//                          coordinator exchanges with thread, fork and
-//                          remote workers;
+//                          a batch of cells and its answers; fork and
+//                          remote workers exchange them as frames;
 //   ShardSpec              the multi-host split: shard i of k owns the
 //                          cells with index % k == i.  A --shard run
 //                          journals only its owned cells (recov/journal.h)
@@ -54,12 +53,12 @@ CellOutcome evaluate_cell(const CellFn& cell_fn, const Scenario& cell,
 // --- batch payloads ------------------------------------------------------
 //
 // The request/response currency between a coordinator and its workers -
-// threads and forked children on socketpairs (core/lane.h) and remote
-// daemons on TCP (net/cluster.h) exchange the same kCellBatch / kResultBatch
-// frames, encoded by the codecs below.  A cell optionally carries an
-// EvalPlan: forked children inherit the sweep's cell_fn closure and need
-// none, while a remote daemon has no access to bench code and evaluates
-// the plan instead.
+// forked children on socketpairs (core/lane.h) and remote daemons on TCP
+// (net/cluster.h) exchange the same kCellBatch / kResultBatch frames,
+// encoded by the codecs below; ThreadLane workers post a ResultBatch by
+// move.  A cell optionally carries an EvalPlan: forked children inherit
+// the sweep's cell_fn closure and need none, while a remote daemon has
+// no access to bench code and evaluates the plan instead.
 
 struct BatchCell {
   std::uint64_t index;  // position in the expanded grid
@@ -92,7 +91,7 @@ struct ResultBatch {
 
 // Checks that `batch` answers exactly the cells in `outstanding` - no
 // missing, duplicated or foreign indices (a short response would otherwise
-// leave empty-but-ok outcomes that only blow up much later) - and writes
+// leave empty-but-ok outcomes that only blow up much later) - and moves
 // each outcome into outcomes[index].  Throws wire::Error on any mismatch,
 // in which case nothing was written: the batch applies atomically, so a
 // protocol-violating worker contributes no results and callers can re-run
@@ -105,12 +104,12 @@ struct ResultBatch {
 // committed[index] set is a late duplicate and is ignored - the first
 // answer won, and per-cell seeds make both answers bitwise identical
 // anyway - while a first answer is written and marks committed[index].
-// Returns how many outcomes were newly committed (== batch size when
+// Returns the cells newly committed, in batch order (every cell when
 // committed is null, where every answer is a first answer).
-std::size_t apply_result_batch(const ResultBatch& batch,
-                               const std::vector<std::size_t>& outstanding,
-                               std::vector<CellOutcome>& outcomes,
-                               std::vector<std::uint8_t>* committed = nullptr);
+std::vector<std::size_t> apply_result_batch(
+    ResultBatch&& batch, const std::vector<std::size_t>& outstanding,
+    std::vector<CellOutcome>& outcomes,
+    std::vector<std::uint8_t>* committed = nullptr);
 
 // --- sharding ------------------------------------------------------------
 

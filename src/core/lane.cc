@@ -1,12 +1,14 @@
 #include "core/lane.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -51,17 +53,17 @@ Hello Hello::decode(wire::Reader& r) {
 
 // --- FrameChannel ------------------------------------------------------------
 
-FrameChannel::FrameChannel(FrameChannel&& other) noexcept
-    : fd_(other.fd_), buf_(std::move(other.buf_)) {
-  other.fd_ = -1;
+FrameChannel::FrameChannel(FrameChannel&& other) noexcept {
+  *this = std::move(other);
 }
 
 FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
   if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    buf_ = std::move(other.buf_);
-    other.fd_ = -1;
+    close();  // then trade this empty state for other's
+    std::swap(fd_, other.fd_);
+    buf_.swap(other.buf_);
+    std::swap(head_, other.head_);
+    std::swap(tail_, other.tail_);
   }
   return *this;
 }
@@ -72,6 +74,7 @@ void FrameChannel::close() {
     fd_ = -1;
   }
   buf_.clear();
+  head_ = tail_ = 0;
 }
 
 void FrameChannel::abort() {
@@ -82,10 +85,7 @@ void FrameChannel::abort() {
 
 bool FrameChannel::send(std::uint16_t type,
                         const std::vector<std::byte>& payload) {
-  if (fd_ < 0) {
-    return false;
-  }
-  return io::send_all(fd_, wire::seal_frame(type, payload));
+  return send_frame(wire::seal_frame(type, payload));
 }
 
 bool FrameChannel::send_frame(const std::vector<std::byte>& framed) {
@@ -99,82 +99,101 @@ bool FrameChannel::fill() {
   if (fd_ < 0) {
     return false;
   }
-  std::byte chunk[1 << 16];
-  const ssize_t got = io::read_some(fd_, chunk, sizeof(chunk));
+  // Compact once per read, not once per popped frame, and read straight
+  // into the buffer.
+  if (head_ > 0) {
+    std::copy(buf_.data() + head_, buf_.data() + tail_, buf_.data());
+    tail_ -= std::exchange(head_, 0);
+  }
+  buf_.resize(std::max(buf_.size(), tail_ + (1 << 16)));
+  const ssize_t got =
+      io::read_some(fd_, buf_.data() + tail_, buf_.size() - tail_);
   if (got <= 0) {
     return false;
   }
-  buf_.insert(buf_.end(), chunk, chunk + got);
+  tail_ += static_cast<std::size_t>(got);
   return true;
 }
 
 bool FrameChannel::pop(wire::Frame* out) {
   std::size_t consumed = 0;
-  if (!wire::parse_frame(buf_.data(), buf_.size(), out, &consumed)) {
+  if (!wire::parse_frame(buf_.data() + head_, tail_ - head_, out,
+                         &consumed)) {
     return false;
   }
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
+  head_ += consumed;
   return true;
 }
 
 bool FrameChannel::recv(wire::Frame* out) {
-  for (;;) {
-    if (pop(out)) {
-      return true;
-    }
+  while (!pop(out)) {
     if (!fill()) {
       return false;
     }
   }
+  return true;
 }
 
-// --- the worker-side serve loop --------------------------------------------
+// --- FramedWorker ----------------------------------------------------------
+
+bool FramedWorker::submit(const std::vector<Scenario>& cells,
+                          const std::vector<std::size_t>& indices,
+                          const PlanFn& plan_fn) {
+  CellBatch batch;
+  batch.cells.reserve(indices.size());
+  const bool with_plan = remote();
+  for (const std::size_t index : indices) {
+    batch.cells.push_back(
+        BatchCell{index, cells[index], with_plan,
+                  with_plan ? plan_fn(cells[index], index) : EvalPlan{}});
+  }
+  return channel_.send_frame(batch.seal());
+}
+
+LaneWorker::Collect FramedWorker::collect(ResultBatch* out,
+                                          std::string* why) {
+  try {
+    wire::Frame frame;
+    if (!channel_.pop(&frame)) {
+      return Collect::kNone;
+    }
+    wire::Reader r(frame.payload);
+    if (frame.type == kFrameResultBatch) {
+      *out = ResultBatch::decode(r);
+      r.expect_done();
+      return Collect::kBatch;
+    }
+    *why = frame.type == kFrameError
+               ? "worker error: " + r.str()
+               : "unexpected frame type " + std::to_string(frame.type);
+  } catch (const wire::Error& e) {
+    *why = std::string("malformed results: ") + e.what();
+  }
+  return Collect::kLost;
+}
+
+// --- the fork child's serve loop -------------------------------------------
 
 namespace {
 
 // Serves kFrameCellBatch requests on `ch` until the peer hangs up: decode
 // the batch, evaluate every cell through cell_fn, answer with one
-// kFrameResultBatch.  Exactly this loop runs inside a ThreadLane worker
-// thread and inside a ForkLane child process - from the dispatch loop's
-// point of view the two are indistinguishable.  `pool` is installed as
-// the worker's ambient EvalContext, so every cell_fn invocation can hand
-// its streams to the pool; between frames the loop waits on the channel
-// and the pool's wake fd together and, when no frame is pending, runs a
-// stream another worker's cell published.  Returns true on clean EOF,
-// false on a corrupt or out-of-protocol request stream.
+// kFrameResultBatch.  `pool` is the child's own: its helper threads run
+// the streams of the cell being evaluated, and between cells it has no
+// work.  Returns true on clean EOF, false on a corrupt or out-of-protocol
+// request stream.
 bool serve_cells(FrameChannel& ch, const CellFn& cell_fn, StreamPool& pool) {
   EvalContextScope scope(EvalContext{&pool});
-  pollfd fds[2] = {{ch.fd(), POLLIN, 0}, {pool.wake_fd(), POLLIN, 0}};
-  for (;;) {
+  try {
     wire::Frame frame;
-    bool have_frame = false;
-    try {
-      have_frame = ch.pop(&frame);
-    } catch (const wire::Error&) {
-      return false;
-    }
-    if (!have_frame) {
-      if (io::poll_retry(fds, 2, -1) < 0) {
+    while (ch.recv(&frame)) {
+      if (frame.type != kFrameCellBatch) {
         return false;
       }
-      if (fds[0].revents != 0) {
-        if (!ch.fill()) {
-          return true;  // coordinator closed the channel: done
-        }
-      } else if (fds[1].revents != 0) {
-        pool.help();
-      }
-      continue;
-    }
-    if (frame.type != kFrameCellBatch) {
-      return false;
-    }
-    ResultBatch response;
-    try {
       wire::Reader r(frame.payload);
       const CellBatch batch = CellBatch::decode(r);
       r.expect_done();
+      ResultBatch response;
       response.entries.reserve(batch.cells.size());
       for (const BatchCell& cell : batch.cells) {
         response.entries.push_back(
@@ -182,12 +201,13 @@ bool serve_cells(FrameChannel& ch, const CellFn& cell_fn, StreamPool& pool) {
              evaluate_cell(cell_fn, cell.scenario,
                            static_cast<std::size_t>(cell.index))});
       }
-    } catch (const wire::Error&) {
-      return false;
+      if (!ch.send_frame(response.seal())) {
+        return true;  // coordinator went away mid-answer
+      }
     }
-    if (!ch.send_frame(response.seal())) {
-      return true;  // coordinator went away mid-answer
-    }
+    return true;  // coordinator closed the channel: done
+  } catch (const wire::Error&) {
+    return false;
   }
 }
 
@@ -195,17 +215,96 @@ bool serve_cells(FrameChannel& ch, const CellFn& cell_fn, StreamPool& pool) {
 
 // --- ThreadLane --------------------------------------------------------------
 
+// An inbox and an outbox under one mutex, each with a doorbell eventfd:
+// the thread waits on the inbox bell and the pool's wake fd, the dispatch
+// loop polls the outbox bell.
 struct ThreadLane::Worker final : LaneWorker {
   explicit Worker(std::size_t id) : id_(id) {}
+  ~Worker() override {
+    stop_ = true;
+    io::raise_event(inbox_fd_);
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+    ::close(inbox_fd_);
+    ::close(outbox_fd_);
+  }
 
   std::string describe() const override {
     return "thread#" + std::to_string(id_);
   }
-  FrameChannel* channel() override { return &channel_; }
-  void retire() override { channel_.close(); }
+  int fd() const override { return retired_ ? -1 : outbox_fd_; }
+  void retire() override { retired_ = true; }
+
+  bool submit(const std::vector<Scenario>& cells,
+              const std::vector<std::size_t>& indices,
+              const PlanFn& /*plan_fn*/) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    cells_ = &cells;
+    inbox_ = indices;
+    io::raise_event(inbox_fd_);
+    return !lost_;
+  }
+  // The bell is raised exactly while an answer (or a loss) waits: both
+  // change under the mutex.
+  Collect collect(ResultBatch* out, std::string* why) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (lost_) {
+      *why = "poll() failed";
+      return Collect::kLost;
+    }
+    io::drain_event(outbox_fd_);
+    *out = std::exchange(outbox_, ResultBatch{});
+    return out->entries.empty() ? Collect::kNone : Collect::kBatch;
+  }
+
+  // The thread's loop.  stop_ (set by the destructor) cuts a batch short
+  // between cells; nobody reads that batch's answer any more.  A failed
+  // poll() ends it as a lost worker, whose cells re-queue elsewhere.
+  void serve(const CellFn& cell_fn, StreamPool& pool) {
+    EvalContextScope scope(EvalContext{&pool});
+    pollfd fds[2] = {{inbox_fd_, POLLIN, 0}, {pool.wake_fd(), POLLIN, 0}};
+    while (!stop_) {
+      if (io::poll_retry(fds, 2, -1) < 0) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        lost_ = true;
+        io::raise_event(outbox_fd_);
+        return;
+      }
+      if (fds[0].revents == 0) {
+        pool.help();  // no batch, but another worker's cell has streams
+        continue;
+      }
+      io::drain_event(inbox_fd_);
+      std::unique_lock<std::mutex> lock(mutex_);
+      const std::vector<std::size_t> indices = std::exchange(inbox_, {});
+      const std::vector<Scenario>* cells = cells_;
+      lock.unlock();
+      ResultBatch done;
+      done.entries.reserve(indices.size());
+      for (const std::size_t index : indices) {
+        if (stop_) {
+          return;
+        }
+        done.entries.push_back(
+            {index, evaluate_cell(cell_fn, (*cells)[index], index)});
+      }
+      lock.lock();
+      outbox_ = std::move(done);
+      io::raise_event(outbox_fd_);
+    }
+  }
 
   std::size_t id_;
-  FrameChannel channel_;
+  int inbox_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  int outbox_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  bool retired_ = false;  // dispatch thread only
+  std::atomic<bool> stop_{false};
+  std::mutex mutex_;  // guards cells_, inbox_, outbox_ and lost_
+  const std::vector<Scenario>* cells_ = nullptr;
+  std::vector<std::size_t> inbox_;
+  ResultBatch outbox_;
+  bool lost_ = false;  // serve() quit on a failed poll()
   std::thread thread_;
 };
 
@@ -221,34 +320,21 @@ void ThreadLane::start(std::size_t /*cell_count*/, const CellFn& cell_fn,
                        std::vector<LaneWorker*>* out) {
   finish();
   pool_ = std::make_unique<StreamPool>();
-  StreamPool& pool = *pool_;
   for (std::size_t i = 0; i < threads_; ++i) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    workers_.push_back(std::make_unique<Worker>(i));
+    Worker& w = *workers_.back();
+    if (w.inbox_fd_ < 0 || w.outbox_fd_ < 0) {
       finish();
-      throw std::runtime_error("ThreadLane: socketpair() failed");
+      throw std::runtime_error("ThreadLane: eventfd() failed");
     }
-    auto worker = std::make_unique<Worker>(i);
-    worker->channel_ = FrameChannel(sv[0]);
-    const int serve_fd = sv[1];
-    worker->thread_ = std::thread([serve_fd, &cell_fn, &pool]() {
-      FrameChannel ch(serve_fd);
-      serve_cells(ch, cell_fn, pool);
-    });
-    out->push_back(worker.get());
-    workers_.push_back(std::move(worker));
+    w.thread_ = std::thread(
+        [&w, &cell_fn, pool = pool_.get()] { w.serve(cell_fn, *pool); });
+    out->push_back(&w);
   }
 }
 
 void ThreadLane::finish() {
-  for (auto& worker : workers_) {
-    // Closing the coordinator end EOFs the serve loop; the thread exits.
-    worker->channel_.close();
-    if (worker->thread_.joinable()) {
-      worker->thread_.join();
-    }
-  }
-  workers_.clear();
+  workers_.clear();  // each worker stops and joins its thread
   pool_.reset();  // no member is left to poll it
 }
 
@@ -274,14 +360,12 @@ void close_other_fds(int keep) {
 
 }  // namespace
 
-struct ForkLane::Worker final : LaneWorker {
+struct ForkLane::Worker final : FramedWorker {
   Worker(ForkLane* lane, std::size_t id) : lane_(lane), id_(id) {}
 
   std::string describe() const override {
     return "fork#" + std::to_string(id_);
   }
-  FrameChannel* channel() override { return &channel_; }
-  void retire() override { channel_.close(); }
 
   bool can_revive() const override { return true; }
   Revive revive() override {
@@ -300,7 +384,6 @@ struct ForkLane::Worker final : LaneWorker {
   ForkLane* lane_;
   std::size_t id_;
   pid_t pid_ = -1;
-  FrameChannel channel_;
 };
 
 ForkLane::ForkLane(std::size_t workers)

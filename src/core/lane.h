@@ -2,14 +2,14 @@
 //
 // DispatchCore (core/dispatch.h) schedules cells without caring whether a
 // worker is a thread, a forked process or a TCP daemon on another host.
-// A Lane supplies the workers of one kind, and every worker speaks the
-// same framed protocol over a stream fd - the kFrameCellBatch /
-// kFrameResultBatch currency of core/executor.h - so the coordinator can
-// poll them all in one event loop:
+// A Lane supplies the workers of one kind, and every worker takes the
+// same calls - submit a batch of cell indices, collect the answered
+// ResultBatch, plus an fd to poll - so the coordinator can poll them all
+// in one event loop.  All but ThreadLane's are FramedWorkers, which ship
+// the kFrameCellBatch / kFrameResultBatch frames of core/executor.h:
 //
-//   ThreadLane   worker threads inside this process, one socketpair each;
-//                the thread runs the same serve loop a forked child does,
-//                evaluating cells through the sweep's cell_fn closure;
+//   ThreadLane   worker threads inside this process; cells and outcomes
+//                never leave memory, nothing is encoded;
 //   ForkLane     forked worker processes (process isolation: an aborting
 //                cell cannot take the sweep down), respawned on crash so
 //                one poisoned cell costs a retry, not a worker;
@@ -136,31 +136,46 @@ class FrameChannel {
 
  private:
   int fd_ = -1;
+  // Bytes received and not yet popped are buf_[head_, tail_).
   std::vector<std::byte> buf_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
 };
 
 // --- worker/lane interfaces ----------------------------------------------
 
-// One worker endpoint a DispatchCore can feed cell batches.  The worker is
-// identified to the scheduler by its channel; a null/closed channel means
-// the worker is lost (and may be revivable, below).
+// One worker endpoint a DispatchCore can feed cell batches.  fd() < 0
+// means the worker is lost (and may be revivable, below).
 class LaneWorker {
  public:
   virtual ~LaneWorker() = default;
 
   virtual std::string describe() const = 0;
 
-  // The worker's framed channel; closed = lost.
-  virtual FrameChannel* channel() = 0;
+  // What the dispatch loop polls: readable once an answer (or a hang-up)
+  // waits, writable once a pending revive connect has finished.
+  virtual int fd() const = 0;
 
-  // Cells sent to this worker must carry EvalPlans (a remote daemon
-  // cannot execute the sweep's local cell_fn closure).
-  virtual bool needs_plan() const { return false; }
+  // Hands the worker cells[index] for every index as one batch (plan_fn
+  // builds a remote() worker's EvalPlans).  False = the worker is gone.
+  virtual bool submit(const std::vector<Scenario>& cells,
+                      const std::vector<std::size_t>& indices,
+                      const PlanFn& plan_fn) = 0;
 
-  // Whether every sweep must open with a Hello/HelloAck handshake on this
-  // worker (remote daemons validate protocol/wire versions and the grid
-  // fingerprint; in-process workers share the build and skip it).
-  virtual bool needs_handshake() const { return false; }
+  // receive() takes in what the worker sent once poll() says fd() is
+  // readable; false = it hung up (answers it sent can still be collected).
+  // collect() pops one answered batch: kNone = none whole yet, kLost = the
+  // worker reported an error or broke protocol (*why).
+  virtual bool receive() { return true; }
+  enum class Collect { kNone, kBatch, kLost };
+  virtual Collect collect(ResultBatch* out, std::string* why) = 0;
+
+  // A remote daemon cannot run the sweep's local cell_fn, so its cells
+  // carry EvalPlans, and every sweep opens with a Hello/HelloAck handshake
+  // over channel() that checks protocol/wire versions and the grid
+  // fingerprint.  Local workers share the build and skip both.
+  virtual bool remote() const { return false; }
+  virtual FrameChannel* channel() { return nullptr; }
 
   // Lets a worker amend the sweep's Hello before it is sent - an
   // authenticated worker sets kHelloFlagAuth, a fleet-leased worker adds
@@ -176,7 +191,7 @@ class LaneWorker {
     return {};
   }
 
-  // Drops the channel (and hangs up on whatever is behind it).
+  // Marks the worker lost (and hangs up on whatever is behind it).
   virtual void retire() = 0;
 
   // --- revival: the backward-error-recovery loop applied to the pool ---
@@ -184,8 +199,8 @@ class LaneWorker {
   // A lost worker that can_revive() is retried on a backoff timer.
   // revive() re-establishes the channel: kReady means it is usable now
   // (a respawned fork worker), kPending means a non-blocking connect is
-  // in flight - poll channel()->fd() for writability, then call
-  // revive_finish() - and kFailed schedules the next backoff.
+  // in flight - poll fd() for writability, then call revive_finish() -
+  // and kFailed schedules the next backoff.
   enum class Revive { kFailed, kPending, kReady };
   virtual bool can_revive() const { return false; }
   virtual Revive revive() { return Revive::kFailed; }
@@ -193,6 +208,22 @@ class LaneWorker {
   // Base delay before the first revival attempt (doubled per consecutive
   // failure by the scheduler).  0 = retry immediately.
   virtual int revive_delay_ms() const { return 0; }
+};
+
+// A worker behind a FrameChannel (a fork child's socketpair, a daemon's
+// TCP connection): submit() seals a kFrameCellBatch, collect() decodes a
+// kFrameResultBatch, and a kFrameError frame is a loss.
+struct FramedWorker : LaneWorker {
+  int fd() const override { return channel_.fd(); }
+  bool submit(const std::vector<Scenario>& cells,
+              const std::vector<std::size_t>& indices,
+              const PlanFn& plan_fn) override;
+  bool receive() override { return channel_.fill(); }
+  Collect collect(ResultBatch* out, std::string* why) override;
+  FrameChannel* channel() override { return &channel_; }
+  void retire() override { channel_.close(); }
+
+  FrameChannel channel_;
 };
 
 // A source of workers of one kind.  start() is called once per
@@ -213,7 +244,7 @@ class Lane {
   // Local workers evaluate under a StreamPool (core/eval_context.h) that
   // lends a Monte-Carlo cell threads for its sub-streams.  A ThreadLane
   // raises all of its threads whatever cell_count is, and they form one
-  // pool: a cell gets its own thread plus every worker that has no frame
+  // pool: a cell gets its own thread plus every worker that has no batch
   // pending, so 1 cell on 4 threads runs 4-way.  A ForkLane clamps its
   // children to cell_count and gives each child a pool of (workers /
   // children raised - 1) helper threads.  Remote daemons (TCP/fleet)
@@ -225,10 +256,10 @@ class Lane {
 
 // --- ThreadLane -----------------------------------------------------------
 
-// Worker threads inside the calling process.  Each worker owns one
-// socketpair; the thread runs the same frame-serving loop as a forked
-// child, so from the dispatch loop's point of view a thread is just a
-// very reliable worker that can never crash independently.
+// Worker threads inside the calling process.  A worker evaluates
+// cells[index] from the coordinator's own vector and posts the outcomes
+// by move, ringing an eventfd the dispatch loop polls; between batches it
+// runs stream tasks other workers' cells publish.
 class ThreadLane final : public Lane {
  public:
   // threads = 0 means std::thread::hardware_concurrency().

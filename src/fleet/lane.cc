@@ -10,7 +10,7 @@
 namespace rbx {
 namespace fleet {
 
-struct FleetLane::FleetWorker final : LaneWorker {
+struct FleetLane::FleetWorker final : FramedWorker {
   FleetWorker(FleetLane* lane, const GrantedMember& grant)
       : lane_(lane) { set_grant(grant); }
 
@@ -24,10 +24,7 @@ struct FleetLane::FleetWorker final : LaneWorker {
   std::string describe() const override {
     return endpoint_.to_string() + " (fleet)";
   }
-  FrameChannel* channel() override { return &channel_; }
-  bool needs_plan() const override { return true; }
-  bool needs_handshake() const override { return true; }
-  void retire() override { channel_.close(); }
+  bool remote() const override { return true; }
 
   void prepare_hello(Hello& hello) const override {
     if (!lane_->options_.auth_key.empty()) {
@@ -80,7 +77,6 @@ struct FleetLane::FleetWorker final : LaneWorker {
   net::Endpoint endpoint_;
   std::uint64_t lease_token_ = 0;
   std::uint64_t lease_sig_ = 0;
-  FrameChannel channel_;
 };
 
 FleetLane::FleetLane(FleetLaneOptions options)

@@ -10,15 +10,12 @@ namespace net {
 
 // --- TcpLane ---------------------------------------------------------------
 
-struct TcpLane::Remote final : LaneWorker {
+struct TcpLane::Remote final : FramedWorker {
   Remote(TcpLane* lane, Endpoint ep)
       : lane_(lane), endpoint_(std::move(ep)) {}
 
   std::string describe() const override { return endpoint_.to_string(); }
-  FrameChannel* channel() override { return &channel_; }
-  bool needs_plan() const override { return true; }
-  bool needs_handshake() const override { return true; }
-  void retire() override { channel_.close(); }
+  bool remote() const override { return true; }
 
   void prepare_hello(Hello& hello) const override {
     if (!lane_->options_.auth_key.empty()) {
@@ -63,7 +60,6 @@ struct TcpLane::Remote final : LaneWorker {
 
   TcpLane* lane_;
   Endpoint endpoint_;
-  FrameChannel channel_;
   bool ever_connected_ = false;
 };
 

@@ -2,8 +2,8 @@
 // many hosts.
 //
 // TcpLane turns remote sweep_workerd daemons into dispatch workers
-// (core/lane.h): each endpoint is one LaneWorker whose FrameChannel is a
-// TCP connection, cells ship with EvalPlans (a daemon cannot execute the
+// (core/lane.h): each endpoint is one FramedWorker over a TCP
+// connection, cells ship with EvalPlans (a daemon cannot execute the
 // sweep's local closures), and every sweep opens with the versioned Hello
 // handshake.  The lane is *persistent*: connections survive across run()
 // calls, so a bench with several sweeps handshakes each sweep (fresh grid

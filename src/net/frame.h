@@ -2,8 +2,8 @@
 //
 // The transport carries exactly the wire frames of support/wire.h - magic,
 // version, type, length-prefixed payload - so the bytes a coordinator
-// sends over TCP are the same bytes a ThreadLane or ForkLane worker sees
-// on its socketpair.  Since the dispatch refactor the buffered framing
+// sends over TCP are the same bytes a ForkLane worker sees on its
+// socketpair.  Since the dispatch refactor the buffered framing
 // itself lives in core (rbx::FrameChannel, core/lane.h): FrameConn is that
 // class adopting a net::Socket's fd, and the handshake frames (Hello /
 // HelloAck / Error) are re-exported here from core for the worker daemon

@@ -164,7 +164,7 @@ KernelStats run_kernel(const Kernel& kernel, const BenchOptions& options) {
   for (std::size_t i = 0; i < opts.intervals; ++i) {
     const std::uint64_t wall = run_interval();
     samples.push_back(static_cast<double>(wall) /
-                      static_cast<double>(reps));
+                      static_cast<double>(reps * kernel.ops_per_call));
   }
   std::sort(samples.begin(), samples.end());
 

@@ -26,7 +26,7 @@
 // *concurrent* per-op latency - flat scaling keeps it constant, contention
 // shows up as growth.  The registry is the names --kernels= selects from;
 // layers group kernels for reporting ("numerics", "markov", "des",
-// "core", "wire").
+// "core", "dispatch", "wire", "fleet").
 #pragma once
 
 #include <cstddef>
@@ -68,6 +68,9 @@ struct Kernel {
   // whole point is a specific thread count, regardless of the harness's
   // --threads flag.
   std::size_t threads = 0;
+  // Operations one closure call performs; ns/op divides by it, so a
+  // kernel whose call is a whole sweep reports ns per cell.
+  std::uint64_t ops_per_call = 1;
 };
 
 class KernelRegistry {

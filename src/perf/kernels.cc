@@ -9,6 +9,9 @@
 //             "hybrid" backend - the units every sweep, shard and
 //             cluster run multiplies - plus the cell label every
 //             ResultSet carries
+//   dispatch  one in-process sweep of warm analytic cells through
+//             DispatchCore and a 4-thread ThreadLane, per cell: what the
+//             coordinator and the lane cost when evaluation is cheap
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   wire      encode/decode of Scenario and ResultSet, seal/parse of a
@@ -31,8 +34,10 @@
 
 #include "core/analytic_backend.h"
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/eval_context.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/result.h"
 #include "core/scenario.h"
 #include "des/async_sim.h"
@@ -341,6 +346,38 @@ void register_default_kernels(KernelRegistry& registry) {
                   };
                 },
                 /*threads=*/8});
+
+  // --- dispatch (one in-process sweep) ----------------------------------
+  // 4,096 cells over 256 distinct analytic models, warmed in make(), so
+  // every evaluation is a cache hit.  One call is one DispatchCore::run on
+  // a 4-thread ThreadLane: lane start and finish, batching, the in-memory
+  // handover, the merge and freeing the outcomes.  Reported per cell.
+  // Pinned to one closure: the lane brings its own 4 threads.
+  registry.add({"dispatch_thread_lane_hits", "dispatch",
+                [] {
+                  auto cells = std::make_shared<std::vector<Scenario>>();
+                  for (std::size_t i = 0; i < 4096; ++i) {
+                    const double rho =
+                        0.25 + 0.0625 * static_cast<double>(i % 64);
+                    cells->push_back(
+                        Scenario::symmetric(2 + (i / 64) % 4, 1.0, rho)
+                            .scheme(SchemeKind::kAsynchronous)
+                            .seed(i));
+                    analytic_backend().evaluate(cells->back());
+                  }
+                  auto lane = std::make_shared<ThreadLane>(4);
+                  auto core = std::make_shared<DispatchCore>(
+                      std::vector<Lane*>{lane.get()});
+                  const CellFn fn = [](const Scenario& s, std::size_t) {
+                    return analytic_backend().evaluate(s);
+                  };
+                  return [cells, lane, core, fn]() -> double {
+                    const SweepResult sweep = core->run(*cells, fn);
+                    return sweep.outcomes.back().result.value(
+                        "mean_interval_x");
+                  };
+                },
+                /*threads=*/1, /*ops_per_call=*/4096});
 
   registry.add({"hybrid_cell", "core", [] {
                   // One ABL-HYBRID cell at a small failure budget: three

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 
 namespace rbx {
 namespace io {
@@ -66,6 +67,16 @@ int poll_retry(pollfd* fds, std::size_t count, int timeout_ms) {
     }
     return ready;
   }
+}
+
+void raise_event(int fd) {
+  const std::uint64_t one = 1;
+  write_all(fd, &one, sizeof(one));
+}
+
+void drain_event(int fd) {
+  std::uint64_t count = 0;
+  read_some(fd, &count, sizeof(count));
 }
 
 }  // namespace io

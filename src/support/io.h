@@ -44,5 +44,11 @@ ssize_t read_some(int fd, void* buf, std::size_t cap);
 // poll() retrying EINTR; timeout_ms as in poll (-1 = block forever).
 int poll_retry(pollfd* fds, std::size_t count, int timeout_ms);
 
+// An eventfd used as a doorbell: raise_event adds 1 to its counter (the
+// fd polls readable), drain_event reads it back to 0.  Open the fd with
+// EFD_NONBLOCK so draining an unraised bell does not block.
+void raise_event(int fd);
+void drain_event(int fd);
+
 }  // namespace io
 }  // namespace rbx

@@ -6,11 +6,15 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/analytic_backend.h"
 #include "core/backend.h"
 #include "core/executor.h"
 #include "core/lane.h"
@@ -143,6 +147,124 @@ TEST(DispatchCoreTest, QuietRunWithoutFailuresLeavesCountersAtZero) {
   }
   EXPECT_EQ(sweep.stolen_cells, 0u);
   EXPECT_EQ(sweep.readmitted_workers, 0u);
+}
+
+// --- ThreadLane's in-memory exchange under stealing ----------------------
+
+// Cheap analytic cells (a different model per cell), for tests whose
+// timing is set by sleeps rather than by evaluation.
+std::vector<Scenario> analytic_grid(std::size_t count) {
+  std::vector<Scenario> cells;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double rho = 0.25 + 0.125 * static_cast<double>(i);
+    cells.push_back(Scenario::symmetric(2 + i % 3, 1.0, rho)
+                        .scheme(i % 2 == 0 ? SchemeKind::kAsynchronous
+                                           : SchemeKind::kSynchronized));
+  }
+  return cells;
+}
+
+// The wire bytes of a cell's outcome: "bitwise equal" means these match.
+std::vector<std::byte> outcome_bytes(const CellOutcome& outcome) {
+  EXPECT_TRUE(outcome.ok()) << outcome.error;
+  wire::Writer w;
+  outcome.result.encode(w);
+  return w.take();
+}
+
+// Wraps the analytic backend: evaluation k (0-based) of cell i first
+// sleeps sleep_ms(i, k) milliseconds.  Counts every evaluation.
+struct SleepyCells {
+  explicit SleepyCells(std::size_t count) : evaluations(count) {}
+  CellFn fn(std::function<int(std::size_t, int)> sleep_ms) {
+    return [this, sleep_ms](const Scenario& s, std::size_t i) {
+      const int k = evaluations[i].fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms(i, k)));
+      return analytic_backend().evaluate(s);
+    };
+  }
+  std::vector<std::atomic<int>> evaluations;
+};
+
+TEST(DispatchCoreTest, ThreadLaneCommitsEachCellOnceAndDropsLateDuplicates) {
+  // Cell 0 is slow on every evaluation, so the sweep lasts at least
+  // 600 ms.  Cell 1 is slow only on its first evaluation: once the queue
+  // is dry an idle worker steals it and answers at once, and the
+  // straggler's copy lands ~200 ms in, while the sweep still runs.  That
+  // late duplicate must be dropped: the hook fires once per cell, and
+  // the outcomes are the bytes of a serial evaluate_cell loop.
+  const std::vector<Scenario> cells = analytic_grid(12);
+  SleepyCells sleepy(cells.size());
+  const CellFn fn = sleepy.fn([](std::size_t i, int k) {
+    return i == 0 ? 600 : (i == 1 && k == 0 ? 200 : 0);
+  });
+
+  ThreadLane lane(4);
+  DispatchOptions options;
+  options.batch_size = 1;
+  options.steal = true;
+  options.quiet = true;
+  DispatchCore core({&lane}, options);
+  std::vector<int> hooks(cells.size(), 0);
+  core.set_commit_hook([&hooks](std::size_t index, const CellOutcome&) {
+    ++hooks[index];
+  });
+  const SweepResult sweep = core.run(cells, fn);
+
+  // Both copies of cell 1 ran (the thief's and the straggler's), yet the
+  // cell committed once.
+  EXPECT_EQ(sleepy.evaluations[1].load(), 2);
+  EXPECT_GE(sweep.stolen_cells, 2u);  // cell 0 and cell 1
+  ASSERT_EQ(sweep.outcomes.size(), cells.size());
+  const CellFn plain = [](const Scenario& s, std::size_t) {
+    return analytic_backend().evaluate(s);
+  };
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(hooks[i], 1) << "cell " << i;
+    EXPECT_EQ(outcome_bytes(sweep.outcomes[i]),
+              outcome_bytes(evaluate_cell(plain, cells[i], i)))
+        << "cell " << i;
+  }
+}
+
+TEST(DispatchCoreTest, ThreadLaneFinishesWhileAStolenCellStillEvaluates) {
+  // Cell 0's first evaluation sleeps 300 ms; a thief's copy answers at
+  // once and completes the sweep while the straggler still sleeps.  run()
+  // must join that worker cleanly (finish()), and a second run() on the
+  // same lane must start from fresh workers and be correct.
+  const std::vector<Scenario> cells = analytic_grid(4);
+  SleepyCells sleepy(cells.size());
+  const CellFn fn = sleepy.fn([](std::size_t i, int k) {
+    return i == 0 && k == 0 ? 300 : 0;
+  });
+  const CellFn plain = [](const Scenario& s, std::size_t) {
+    return analytic_backend().evaluate(s);
+  };
+
+  ThreadLane lane(4);
+  DispatchOptions options;
+  options.batch_size = 1;
+  options.steal = true;
+  options.quiet = true;
+  DispatchCore core({&lane}, options);
+  const SweepResult first = core.run(cells, fn);
+  EXPECT_GE(first.stolen_cells, 1u);
+  // finish() joined the straggler: its evaluation has returned.
+  EXPECT_EQ(sleepy.evaluations[0].load(), 2);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(outcome_bytes(first.outcomes[i]),
+              outcome_bytes(evaluate_cell(plain, cells[i], i)))
+        << "cell " << i;
+  }
+
+  const std::vector<Scenario> again = analytic_grid(9);
+  const SweepResult second = core.run(again, plain);
+  ASSERT_EQ(second.outcomes.size(), again.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(outcome_bytes(second.outcomes[i]),
+              outcome_bytes(evaluate_cell(plain, again[i], i)))
+        << "cell " << i;
+  }
 }
 
 TEST(DispatchCoreTest, NoLanesIsAnInfrastructureError) {

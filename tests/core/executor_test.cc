@@ -251,13 +251,17 @@ TEST(ApplyResultBatchTest, CommittedMaskIgnoresLateDuplicates) {
   ResultBatch first;  // the thief answers cells 1 and 2
   first.entries.push_back(entry(1, 10.0));
   first.entries.push_back(entry(2, 20.0));
-  EXPECT_EQ(apply_result_batch(first, {1, 2}, outcomes, &committed), 2u);
+  EXPECT_EQ(apply_result_batch(std::move(first), {1, 2}, outcomes,
+                               &committed),
+            (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(outcomes[1].result.value("x"), 10.0);
 
   ResultBatch late;  // the straggler answers its whole batch {0, 1} later
   late.entries.push_back(entry(0, 5.0));
   late.entries.push_back(entry(1, 99.0));  // duplicate of a stolen cell
-  EXPECT_EQ(apply_result_batch(late, {0, 1}, outcomes, &committed), 1u);
+  EXPECT_EQ(apply_result_batch(std::move(late), {0, 1}, outcomes,
+                               &committed),
+            std::vector<std::size_t>{0});
   EXPECT_EQ(outcomes[0].result.value("x"), 5.0);
   // The first answer stuck (in reality both are bitwise identical; the
   // sentinel value just proves the duplicate was dropped, not applied).
@@ -267,12 +271,70 @@ TEST(ApplyResultBatchTest, CommittedMaskIgnoresLateDuplicates) {
   // answer is a protocol violation even when some cells are committed.
   ResultBatch shorting;
   shorting.entries.push_back(entry(1, 1.0));
-  EXPECT_THROW(apply_result_batch(shorting, {1, 2}, outcomes, &committed),
+  EXPECT_THROW(apply_result_batch(std::move(shorting), {1, 2}, outcomes,
+                                  &committed),
                wire::Error);
   ResultBatch foreign;
   foreign.entries.push_back(entry(7, 1.0));
-  EXPECT_THROW(apply_result_batch(foreign, {1}, outcomes, &committed),
+  EXPECT_THROW(apply_result_batch(std::move(foreign), {1}, outcomes,
+                                  &committed),
                wire::Error);
+  EXPECT_EQ(committed, std::vector<std::uint8_t>(3, 1));
+  EXPECT_EQ(outcomes[0].result.value("x"), 5.0);
+  EXPECT_EQ(outcomes[1].result.value("x"), 10.0);
+  EXPECT_EQ(outcomes[2].result.value("x"), 20.0);
+
+  // A doubled or foreign answer is rejected atomically under a partly
+  // committed mask: a valid entry for an uncommitted cell ahead of the
+  // bad one writes nothing, and the mask stays as it was.
+  std::vector<CellOutcome> partial_outcomes(3);
+  std::vector<std::uint8_t> partial{0, 1, 0};
+  ResultBatch doubled;  // right size, but cell 2 answered twice, 1 never
+  doubled.entries.push_back(entry(0, 1.0));
+  doubled.entries.push_back(entry(2, 1.0));
+  doubled.entries.push_back(entry(2, 2.0));
+  EXPECT_THROW(apply_result_batch(std::move(doubled), {0, 1, 2},
+                                  partial_outcomes, &partial),
+               wire::Error);
+  ResultBatch stray;
+  stray.entries.push_back(entry(0, 1.0));
+  stray.entries.push_back(entry(7, 1.0));
+  EXPECT_THROW(apply_result_batch(std::move(stray), {0, 1}, partial_outcomes,
+                                  &partial),
+               wire::Error);
+  ResultBatch under;
+  under.entries.push_back(entry(2, 1.0));
+  EXPECT_THROW(apply_result_batch(std::move(under), {1, 2}, partial_outcomes,
+                                  &partial),
+               wire::Error);
+  EXPECT_EQ(partial, (std::vector<std::uint8_t>{0, 1, 0}));
+  for (const CellOutcome& outcome : partial_outcomes) {
+    EXPECT_TRUE(outcome.result.metrics().empty());
+  }
+}
+
+TEST(ApplyResultBatchTest, AnswersMayComeInAnyOrder) {
+  // The slot lookup is by index, not by position: a worker may answer a
+  // large batch in any order, and every outcome lands in its own cell.
+  std::vector<std::size_t> outstanding;
+  ResultBatch batch;
+  for (std::size_t k = 0; k < 200; ++k) {
+    outstanding.push_back(3 * k + 1);
+  }
+  for (std::size_t k = 200; k-- > 0;) {
+    ResultSet r("test", "cell");
+    r.set("x", static_cast<double>(3 * k + 1));
+    CellOutcome outcome;
+    outcome.result = std::move(r);
+    batch.entries.push_back({3 * k + 1, std::move(outcome)});
+  }
+  std::vector<CellOutcome> outcomes(600);
+  EXPECT_EQ(apply_result_batch(std::move(batch), outstanding, outcomes).size(),
+            200u);
+  for (const std::size_t index : outstanding) {
+    EXPECT_EQ(outcomes[index].result.value("x"),
+              static_cast<double>(index));
+  }
 }
 
 TEST(ShardSpecTest, PartitionIsDisjointAndComplete) {

@@ -1,5 +1,8 @@
 #include "support/wire.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,9 +12,13 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/lane.h"
+#include "support/io.h"
 
 namespace rbx {
 namespace {
@@ -203,6 +210,125 @@ TEST(WireFile, WriteFileAndAtomicWriteRoundTrip) {
   EXPECT_EQ(read_back(), second);
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   std::remove(path.c_str());
+}
+
+// --- FrameChannel reassembly ------------------------------------------------
+
+// A frame whose payload is `size` bytes counting up from `seed`.
+std::vector<std::byte> test_frame(std::uint16_t type, std::size_t size,
+                                  unsigned seed) {
+  std::vector<std::byte> payload(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<std::byte>((seed + i) & 0xff);
+  }
+  return wire::seal_frame(type, payload);
+}
+
+// The channel reads one end of a socketpair; the test writes the other.
+struct ChannelPair {
+  ChannelPair() {
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    channel = FrameChannel(sv[0]);
+    writer = sv[1];
+  }
+  ~ChannelPair() { close_writer(); }
+  void send(const std::byte* data, std::size_t size) {
+    ASSERT_TRUE(io::send_all(writer, data, size));
+  }
+  void close_writer() {
+    if (writer >= 0) {
+      ::close(writer);
+      writer = -1;
+    }
+  }
+  FrameChannel channel;
+  int writer = -1;
+};
+
+void expect_frame(FrameChannel& ch, std::uint16_t type, std::size_t size,
+                  unsigned seed) {
+  wire::Frame frame;
+  ASSERT_TRUE(ch.pop(&frame)) << "frame type " << type;
+  EXPECT_EQ(frame.type, type);
+  const std::vector<std::byte> framed = test_frame(type, size, seed);
+  EXPECT_EQ(frame.payload,
+            std::vector<std::byte>(framed.begin() + wire::kFrameHeaderSize,
+                                   framed.end()));
+}
+
+TEST(WireFrameChannel, ManyFramesInOneFill) {
+  ChannelPair pair;
+  std::vector<std::byte> stream;
+  for (unsigned k = 0; k < 40; ++k) {
+    const std::vector<std::byte> f = test_frame(3, 7 * k, k);
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  pair.send(stream.data(), stream.size());
+  ASSERT_TRUE(pair.channel.fill());
+  for (unsigned k = 0; k < 40; ++k) {
+    expect_frame(pair.channel, 3, 7 * k, k);
+  }
+  wire::Frame extra;
+  EXPECT_FALSE(pair.channel.pop(&extra));
+}
+
+TEST(WireFrameChannel, FrameSplitAcrossThreeFills) {
+  // A whole frame, then the next one in three pieces: the first piece
+  // ends inside the header, the second inside the payload.  The popped
+  // frame ahead of it must not disturb the reassembly.
+  ChannelPair pair;
+  const std::vector<std::byte> first = test_frame(4, 100, 1);
+  const std::vector<std::byte> split = test_frame(5, 3000, 2);
+  std::vector<std::byte> piece(first);
+  piece.insert(piece.end(), split.begin(), split.begin() + 10);
+  pair.send(piece.data(), piece.size());
+  ASSERT_TRUE(pair.channel.fill());
+  expect_frame(pair.channel, 4, 100, 1);
+  wire::Frame frame;
+  EXPECT_FALSE(pair.channel.pop(&frame));
+
+  pair.send(split.data() + 10, 1000);
+  ASSERT_TRUE(pair.channel.fill());
+  EXPECT_FALSE(pair.channel.pop(&frame));
+
+  pair.send(split.data() + 1010, split.size() - 1010);
+  ASSERT_TRUE(pair.channel.fill());
+  expect_frame(pair.channel, 5, 3000, 2);
+  EXPECT_FALSE(pair.channel.pop(&frame));
+}
+
+TEST(WireFrameChannel, EofWithAWholeFrameStillBuffered) {
+  ChannelPair pair;
+  const std::vector<std::byte> f = test_frame(6, 64, 9);
+  pair.send(f.data(), f.size());
+  pair.close_writer();
+  ASSERT_TRUE(pair.channel.fill());   // the frame's bytes
+  EXPECT_FALSE(pair.channel.fill());  // then EOF
+  expect_frame(pair.channel, 6, 64, 9);
+  wire::Frame frame;
+  EXPECT_FALSE(pair.channel.pop(&frame));
+  EXPECT_FALSE(pair.channel.recv(&frame));
+}
+
+TEST(WireFrameChannel, FrameLargerThanOneReadArrivesWhole) {
+  // 300 KB cannot arrive in one read: the buffer grows across fills.
+  ChannelPair pair;
+  const std::vector<std::byte> big = test_frame(7, 300000, 3);
+  const std::vector<std::byte> small = test_frame(8, 5, 4);
+  std::thread writer([&] {
+    pair.send(big.data(), big.size());
+    pair.send(small.data(), small.size());
+    pair.close_writer();
+  });
+  wire::Frame frame;
+  ASSERT_TRUE(pair.channel.recv(&frame));
+  EXPECT_EQ(frame.type, 7);
+  EXPECT_EQ(frame.payload.size(), 300000u);
+  ASSERT_TRUE(pair.channel.recv(&frame));
+  EXPECT_EQ(frame.type, 8);
+  EXPECT_FALSE(pair.channel.recv(&frame));
+  writer.join();
 }
 
 }  // namespace
