@@ -1,7 +1,10 @@
 #include "core/analytic_backend.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -103,15 +106,30 @@ void evaluate_prp(const Scenario& s, ResultSet& out) {
 // t_record.  Everything else (seed, samples, label, workload, sync policy)
 // is ignored by the analytic path, so it must stay out of the key -
 // including it would only split identical solutions across entries.
+// The key is the scheme byte, n, then the bit patterns of mu, lambda and
+// t_record in native byte order, written straight into one pre-sized
+// string (it never leaves the process).  n fixes both vector lengths, so
+// no two inputs share a key.
 std::string model_cache_key(const Scenario& s) {
-  wire::Writer w;
-  w.u8(static_cast<std::uint8_t>(s.scheme()));
-  w.f64_vec(s.params().mu());
-  w.f64_vec(s.params().lambda_flat());
-  w.f64(s.t_record());
-  const std::vector<std::byte>& bytes = w.data();
-  return std::string(reinterpret_cast<const char*>(bytes.data()),
-                     bytes.size());
+  const std::vector<double>& mu = s.params().mu();
+  const std::vector<double>& lambda = s.params().lambda_flat();
+  const std::uint8_t scheme = static_cast<std::uint8_t>(s.scheme());
+  const std::uint64_t n = mu.size();
+  const double t_record = s.t_record();
+  std::string key(sizeof scheme + sizeof n +
+                      (mu.size() + lambda.size() + 1) * sizeof(double),
+                  '\0');
+  char* p = key.data();
+  const auto put = [&p](const void* src, std::size_t bytes) {
+    std::memcpy(p, src, bytes);
+    p += bytes;
+  };
+  put(&scheme, sizeof scheme);
+  put(&n, sizeof n);
+  put(mu.data(), mu.size() * sizeof(double));
+  put(lambda.data(), lambda.size() * sizeof(double));
+  put(&t_record, sizeof t_record);
+  return key;
 }
 
 void evaluate_scheme(const Scenario& scenario, ResultSet& out) {
@@ -154,27 +172,33 @@ ResultSet AnalyticBackend::evaluate(const Scenario& scenario) const {
   // Formatted before taking the lock: the label is most of a hit's cost.
   std::string label = scenario.label();
   CacheShard& shard = shard_for(key);
+  std::shared_ptr<const std::vector<Metric>> stored;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      // Adopt a copy of the stored list whole - insertion order, unique
-      // names, doubles untouched - so the hit is bitwise identical to the
-      // evaluation that populated the entry.
-      return ResultSet(name(), std::move(label), it->second);
+      stored = it->second;  // a refcount, nothing more, under the lock
     }
+  }
+  if (stored) {
+    // Adopt the frozen list whole - insertion order, unique names,
+    // doubles untouched - so the hit is bitwise identical to the
+    // evaluation that populated the entry.
+    return ResultSet(name(), std::move(label), std::move(stored));
   }
 
   // Solve outside the lock: concurrent sweep threads racing on the same
   // key duplicate work once, but the entries they store are identical.
   ResultSet out(name(), std::move(label));
   evaluate_scheme(scenario, out);
+  std::shared_ptr<const std::vector<Metric>> frozen = out.freeze();
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.entries.size() >= kMaxCachedModels / kCacheShards) {
+      // Live hits hold their own references; clearing drops only ours.
       shard.entries.clear();
     }
-    shard.entries.emplace(key, out.metrics());
+    shard.entries.emplace(key, std::move(frozen));
   }
   return out;
 }

@@ -21,15 +21,16 @@
 // Solution cache: because the metrics depend only on (scheme, rates,
 // t_record) - never on the seed, sample budget or label - grid cells that
 // share those inputs share the entire chain build / LU / uniformization
-// work.  evaluate() memoizes the solved metric list keyed by the wire
-// encoding of exactly those inputs and re-labels cached metrics per cell,
+// work.  evaluate() memoizes the solved metric list, keyed by the bit
+// patterns of exactly those inputs, and re-labels cached metrics per cell,
 // so a fig5-style sweep that varies the seed axis pays for each distinct
-// parameter point once.  A hit copies the stored metric list whole into
-// the ResultSet (insertion order, unique names, doubles bit-preserved), so
-// cached and fresh evaluations are bitwise identical (pinned by
-// tests/perf/analytic_cache_test.cc) and a hit costs one lookup, one
-// vector copy and the cell's label - Scenario::label() formats without
-// iostreams because it is most of a hit's time.  The cache is
+// parameter point once.  The stored list is frozen (core/result.h): a hit
+// adopts it by pointer (insertion order, unique names, doubles
+// bit-preserved), so cached and fresh evaluations are bitwise identical
+// (pinned by tests/perf/analytic_cache_test.cc).  A hit costs the key,
+// one lookup, one refcount taken under the shard lock and the cell's
+// label; a caller that later set()s or merge()s into the hit clones the
+// list first and never touches the entry.  The cache is
 // striped across kCacheShards independently-locked shards selected by the
 // key's hash (sweep threads share the backend singleton; a single mutex
 // serialized every lookup and showed up as contention in the threaded
@@ -40,6 +41,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -71,7 +73,10 @@ class AnalyticBackend : public EvalBackend {
  private:
   struct CacheShard {
     std::mutex mutex;
-    std::unordered_map<std::string, std::vector<Metric>> entries;
+    // Frozen lists (core/result.h): a hit shares one, never copies it.
+    std::unordered_map<std::string,
+                       std::shared_ptr<const std::vector<Metric>>>
+        entries;
   };
   CacheShard& shard_for(const std::string& key) const;
 

@@ -1,5 +1,6 @@
 #include "core/backend.h"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "core/ablation_backend.h"
@@ -62,18 +63,42 @@ const EvalBackend& markov_micro_backend() {
   return backend;
 }
 
+namespace {
+
+// The registry, in all_backends() order.  Each name is its backend's
+// name(); tests/core/backend_test.cc pins that they agree.
+struct Registered {
+  const char* name;
+  const EvalBackend& (*get)();
+};
+constexpr Registered kRegistry[] = {
+    {"analytic", analytic_backend},
+    {"monte-carlo", monte_carlo_backend},
+    {"runtime", runtime_backend},
+    {"density-analytic", density_analytic_backend},
+    {"density-mc", density_monte_carlo_backend},
+    {"line-exact", exact_line_backend},
+    {"hybrid", hybrid_scheme_backend},
+    {"markov-structure", markov_structure_backend},
+    {"micro-markov", markov_micro_backend},
+};
+
+}  // namespace
+
 std::vector<const EvalBackend*> all_backends() {
-  return {&analytic_backend(),         &monte_carlo_backend(),
-          &runtime_backend(),          &density_analytic_backend(),
-          &density_monte_carlo_backend(), &exact_line_backend(),
-          &hybrid_scheme_backend(),    &markov_structure_backend(),
-          &markov_micro_backend()};
+  std::vector<const EvalBackend*> out;
+  out.reserve(std::size(kRegistry));
+  for (const Registered& r : kRegistry) {
+    out.push_back(&r.get());
+  }
+  return out;
 }
 
+// Called for every plan step of every cell: no vector, no name() string.
 const EvalBackend* find_backend(const std::string& name) {
-  for (const EvalBackend* b : all_backends()) {
-    if (b->name() == name) {
-      return b;
+  for (const Registered& r : kRegistry) {
+    if (name == r.name) {
+      return &r.get();
     }
   }
   return nullptr;

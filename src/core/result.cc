@@ -17,14 +17,33 @@ ResultSet::ResultSet(std::string backend, std::string scenario)
     : backend_(std::move(backend)), scenario_(std::move(scenario)) {}
 
 ResultSet::ResultSet(std::string backend, std::string scenario,
-                     std::vector<Metric> metrics)
+                     std::shared_ptr<const std::vector<Metric>> frozen)
     : backend_(std::move(backend)),
       scenario_(std::move(scenario)),
-      metrics_(std::move(metrics)) {}
+      frozen_(std::move(frozen)) {
+  RBX_CHECK_MSG(frozen_ != nullptr, "adopting a null metric list");
+}
+
+std::shared_ptr<const std::vector<Metric>> ResultSet::freeze() {
+  if (!frozen_) {
+    frozen_ = std::make_shared<const std::vector<Metric>>(std::move(metrics_));
+    metrics_.clear();
+  }
+  return frozen_;
+}
+
+std::vector<Metric>& ResultSet::mutable_metrics() {
+  if (frozen_) {
+    metrics_ = *frozen_;
+    frozen_.reset();
+  }
+  return metrics_;
+}
 
 void ResultSet::set(const std::string& name, double value, double half_width,
                     std::size_t count) {
-  for (Metric& m : metrics_) {
+  std::vector<Metric>& metrics = mutable_metrics();
+  for (Metric& m : metrics) {
     if (m.name == name) {
       m.value = value;
       m.half_width = half_width;
@@ -32,11 +51,11 @@ void ResultSet::set(const std::string& name, double value, double half_width,
       return;
     }
   }
-  metrics_.push_back(Metric{name, value, half_width, count});
+  metrics.push_back(Metric{name, value, half_width, count});
 }
 
 const Metric* ResultSet::find(const std::string& name) const {
-  for (const Metric& m : metrics_) {
+  for (const Metric& m : metrics()) {
     if (m.name == name) {
       return &m;
     }
@@ -66,7 +85,12 @@ const Metric& ResultSet::metric(const std::string& name) const {
 }
 
 void ResultSet::merge(const ResultSet& other, const std::string& prefix) {
-  for (const Metric& m : other.metrics_) {
+  if (&other == this) {
+    // set() below may clone or grow the very list being read.
+    merge(ResultSet(other), prefix);
+    return;
+  }
+  for (const Metric& m : other.metrics()) {
     set(prefix + m.name, m.value, m.half_width, m.count);
   }
 }
@@ -74,7 +98,7 @@ void ResultSet::merge(const ResultSet& other, const std::string& prefix) {
 std::string ResultSet::to_string() const {
   std::ostringstream os;
   os << backend_ << " / " << scenario_ << "\n";
-  for (const Metric& m : metrics_) {
+  for (const Metric& m : metrics()) {
     char line[160];
     if (m.exact()) {
       std::snprintf(line, sizeof(line), "  %-28s = %.6g\n", m.name.c_str(),
@@ -91,11 +115,12 @@ std::string ResultSet::to_string() const {
 void ResultSet::encode(wire::Writer& w) const {
   w.str(backend_);
   w.str(scenario_);
-  if (metrics_.size() > UINT32_MAX) {
+  const std::vector<Metric>& metrics = this->metrics();
+  if (metrics.size() > UINT32_MAX) {
     throw wire::Error("result set: too many metrics to encode");
   }
-  w.u32(static_cast<std::uint32_t>(metrics_.size()));
-  for (const Metric& m : metrics_) {
+  w.u32(static_cast<std::uint32_t>(metrics.size()));
+  for (const Metric& m : metrics) {
     w.str(m.name);
     w.f64(m.value);
     w.f64(m.half_width);
@@ -126,13 +151,15 @@ ResultSet ResultSet::decode(wire::Reader& r) {
 }
 
 bool operator==(const ResultSet& a, const ResultSet& b) {
+  const std::vector<Metric>& am = a.metrics();
+  const std::vector<Metric>& bm = b.metrics();
   if (a.backend_ != b.backend_ || a.scenario_ != b.scenario_ ||
-      a.metrics_.size() != b.metrics_.size()) {
+      am.size() != bm.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.metrics_.size(); ++i) {
-    const Metric& x = a.metrics_[i];
-    const Metric& y = b.metrics_[i];
+  for (std::size_t i = 0; i < am.size(); ++i) {
+    const Metric& x = am[i];
+    const Metric& y = bm[i];
     if (x.name != y.name || x.value != y.value ||
         x.half_width != y.half_width || x.count != y.count) {
       return false;

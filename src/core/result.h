@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,15 +32,24 @@ struct Metric {
   bool exact() const { return count == 0; }
 };
 
+// Sharing contract.  A ResultSet's metric list is either private (built
+// through set()/merge() or decode(); copying the ResultSet deep-copies it)
+// or frozen: immutable and shared by every ResultSet that adopted it.
+// freeze() turns a private list into a frozen one, and the adopting
+// constructor takes a frozen list by pointer, so a cache that stores the
+// frozen list replays it to any number of cells for a refcount each.  The
+// first set()/merge() on a frozen ResultSet clones the list into a private
+// one, so a mutation never reaches the cache or the sibling results.
+// Which state a ResultSet is in is its own field, never inferred from the
+// pointer's use_count().
 class ResultSet {
  public:
   ResultSet() = default;
   ResultSet(std::string backend, std::string scenario);
-  // Adopts an already-built metric list as is, in order.  The names must
-  // be unique (as every list built through set() is); a cache replaying
-  // a stored list uses this to skip set()'s per-metric upsert scan.
+  // Adopts a frozen metric list (see freeze()) without copying it.  The
+  // names must be unique, as every list built through set() is.
   ResultSet(std::string backend, std::string scenario,
-            std::vector<Metric> metrics);
+            std::shared_ptr<const std::vector<Metric>> frozen);
 
   const std::string& backend() const { return backend_; }
   const std::string& scenario() const { return scenario_; }
@@ -53,7 +63,13 @@ class ResultSet {
   double value(const std::string& name) const;
   double value_or(const std::string& name, double fallback) const;
   const Metric& metric(const std::string& name) const;
-  const std::vector<Metric>& metrics() const { return metrics_; }
+  const std::vector<Metric>& metrics() const {
+    return frozen_ ? *frozen_ : metrics_;
+  }
+
+  // Freezes the metric list (a no-op if it is frozen already) and returns
+  // it for sharing; this ResultSet keeps reading the same list.
+  std::shared_ptr<const std::vector<Metric>> freeze();
 
   // Appends every metric of `other`, prefixing its names (e.g. "mc_").
   // Lets one sweep cell combine several backend evaluations.
@@ -78,10 +94,13 @@ class ResultSet {
 
  private:
   const Metric* find(const std::string& name) const;
+  // The private list, cloned from the frozen one first if need be.
+  std::vector<Metric>& mutable_metrics();
 
   std::string backend_;
   std::string scenario_;
-  std::vector<Metric> metrics_;
+  std::vector<Metric> metrics_;  // the private list; empty while frozen
+  std::shared_ptr<const std::vector<Metric>> frozen_;  // null unless frozen
 };
 
 }  // namespace rbx

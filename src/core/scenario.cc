@@ -140,11 +140,11 @@ Scenario& Scenario::workload(RuntimeWorkload w) {
 }
 
 std::string Scenario::label() const {
-  // Appends, no iostreams: an analytic cache hit costs little more than
-  // this label (byte contract in the header).
+  // One buffer, no iostreams: the label is a large share of an analytic
+  // cache hit (byte contract in the header).
   std::string out = scheme_tag(scheme_);
   out += ' ';
-  out += params_.describe();
+  params_.describe_into(out);
   out += " seed=";
   out += std::to_string(seed_);
   // streams=1 is the implicit default; omitting it keeps every

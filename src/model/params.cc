@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 #include <system_error>
 
 #include "support/check.h"
@@ -10,18 +12,37 @@ namespace rbx {
 
 namespace {
 
-// Appends v exactly as a default-formatted std::ostream prints it in the
-// C locale: printf's %.6g ("0.666667", "1e-05", "1e+16", "inf", "-nan").
-// std::to_chars with general format and an explicit precision is
-// specified as that printf conversion, without the stream's locale and
-// sentry machinery.
-void append_general6(std::string& out, double v) {
-  char buf[32];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
-  RBX_CHECK(r.ec == std::errc());
-  out.append(buf, r.ptr);
-}
+// The text of a rate exactly as a default-formatted std::ostream prints
+// it in the C locale: printf's %.6g ("0.666667", "1e-05", "1e+16", "inf",
+// "-nan").  std::to_chars with general format and an explicit precision
+// is specified as that printf conversion, without the stream's locale and
+// sentry machinery.  A rate whose bit pattern equals the previous one's
+// reuses the text already formatted, so a homogeneous rate vector is
+// formatted once.  The compare is on bits, not ==, so adjacent -0.0 and
+// 0.0 still print "-0" and "0".
+class RateText {
+ public:
+  std::string_view of(double v) {
+    if (len_ == 0 || std::memcmp(&v, last_, sizeof v) != 0) {
+      const std::to_chars_result r = std::to_chars(
+          buf_, buf_ + sizeof buf_, v, std::chars_format::general, 6);
+      RBX_CHECK(r.ec == std::errc());
+      len_ = static_cast<std::size_t>(r.ptr - buf_);
+      std::memcpy(last_, &v, sizeof v);
+    }
+    return std::string_view(buf_, len_);
+  }
+
+ private:
+  unsigned char last_[sizeof(double)] = {};
+  char buf_[32] = {};
+  std::size_t len_ = 0;  // 0 until the first rate
+};
+
+// Room describe_into() reserves beyond the rate lists: "n=" and its
+// digits, the bracket text, " rho=" and its value, and the " seed=" and
+// " streams=" suffix Scenario::label() appends to the same buffer.
+constexpr std::size_t kDescribeSlack = 96;
 
 }  // namespace
 
@@ -135,29 +156,43 @@ bool ProcessSetParams::is_symmetric_rates() const {
 }
 
 std::string ProcessSetParams::describe() const {
-  std::string out = "n=";
-  out += std::to_string(n());
+  std::string out;
+  describe_into(out);
+  return out;
+}
+
+void ProcessSetParams::describe_into(std::string& out) const {
+  const std::size_t n = this->n();
+  const std::size_t pairs = n * (n - 1) / 2;
+  RateText mu_text;
+  RateText lambda_text;
+  // Exact for homogeneous rates; a longer rate later grows the buffer.
+  const std::size_t mu_len = mu_text.of(mu_[0]).size();
+  const std::size_t lambda_len = n > 1 ? lambda_text.of(lambda_[1]).size() : 0;
+  out.reserve(out.size() + n * (mu_len + 1) + pairs * (lambda_len + 1) +
+              kDescribeSlack);
+  out += "n=";
+  out += std::to_string(n);
   out += " mu=(";
-  for (std::size_t i = 0; i < n(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (i) {
       out += ',';
     }
-    append_general6(out, mu_[i]);
+    out += mu_text.of(mu_[i]);
   }
   out += ") lambda=(";
   bool first = true;
-  for (std::size_t i = 0; i < n(); ++i) {
-    for (std::size_t j = i + 1; j < n(); ++j) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
       if (!first) {
         out += ',';
       }
-      append_general6(out, lambda_[i * n() + j]);
+      out += lambda_text.of(lambda_[i * n + j]);
       first = false;
     }
   }
   out += ") rho=";
-  append_general6(out, rho());
-  return out;
+  out += RateText().of(rho());
 }
 
 }  // namespace rbx

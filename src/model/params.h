@@ -62,6 +62,10 @@ class ProcessSetParams {
   // them, so the format must never drift (tests/core/scenario_test.cc
   // pins literal values).
   std::string describe() const;
+  // Appends describe()'s text to `out`, reserving room for it (and for a
+  // Scenario label's suffix) first.  Each run of rates with one bit
+  // pattern is formatted once.
+  void describe_into(std::string& out) const;
 
  private:
   std::vector<double> mu_;

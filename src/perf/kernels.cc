@@ -298,14 +298,40 @@ void register_default_kernels(KernelRegistry& registry) {
                   };
                 }});
 
-  // The label every cell's ResultSet carries; at n=7 it formats 29
-  // doubles.  Pinned to 1 thread so its ratio to analytic_async_cell
-  // (a warm cache hit, which formats one n=6 label) says how much of a
-  // hit is still label formatting - CI asserts a floor on that ratio.
+  // The label every cell's ResultSet carries.  A symmetric n=7 label
+  // holds 29 doubles but only three distinct ones (mu, lambda, rho), and
+  // a run of equal rates is formatted once, so it formats three.  Pinned
+  // to 1 thread so its ratio to analytic_async_cell (a warm cache hit,
+  // which builds one n=6 label) says how much of a hit is still label
+  // formatting - CI asserts a floor on that ratio.
   registry.add({"scenario_label", "core",
                 [] {
                   const Scenario s = Scenario::symmetric(7, 1.0, 0.5)
                                          .scheme(SchemeKind::kAsynchronous);
+                  return [s]() -> double {
+                    return static_cast<double>(s.label().size());
+                  };
+                },
+                /*threads=*/1});
+
+  // The label's worst case: n=7 with 29 distinct doubles (7 mu, 21
+  // lambda and rho), each formatted on its own.
+  registry.add({"scenario_label_distinct", "core",
+                [] {
+                  std::vector<double> mu(7);
+                  std::vector<double> lambda(49, 0.0);
+                  for (std::size_t i = 0; i < 7; ++i) {
+                    mu[i] = 1.0 + 0.125 * static_cast<double>(i);
+                  }
+                  double rate = 0.1;
+                  for (std::size_t i = 0; i < 7; ++i) {
+                    for (std::size_t j = i + 1; j < 7; ++j) {
+                      lambda[i * 7 + j] = lambda[j * 7 + i] = rate;
+                      rate += 0.0625;
+                    }
+                  }
+                  const Scenario s(
+                      ProcessSetParams(std::move(mu), std::move(lambda)));
                   return [s]() -> double {
                     return static_cast<double>(s.label().size());
                   };

@@ -202,6 +202,122 @@ TEST(Scenario, DescribeMatchesTheOstreamFormatter) {
   }
 }
 
+// Reference for label()'s byte contract, every value formatted on its own.
+std::string ostream_label(const Scenario& s) {
+  static const char* const tags[] = {"async", "sync", "prp"};
+  std::ostringstream os;
+  os << tags[static_cast<int>(s.scheme())] << ' '
+     << ostream_describe(s.params()) << " seed=" << s.seed();
+  if (s.streams() > 1) {
+    os << " streams=" << s.streams();
+  }
+  return os.str();
+}
+
+ProcessSetParams params_from(const std::vector<double>& mu,
+                             const std::vector<double>& upper) {
+  const std::size_t n = mu.size();
+  std::vector<double> lambda(n * n, 0.0);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j, ++k) {
+      lambda[i * n + j] = lambda[j * n + i] = upper[k];
+    }
+  }
+  return ProcessSetParams(mu, std::move(lambda));
+}
+
+TEST(Scenario, DescribeFormatsRunsOfEqualRatesByteForByte) {
+  // describe() formats a rate only when its bits differ from the previous
+  // rate's; the text must still be what formatting each value gives.
+  const double sub = 5e-324;                 // smallest subnormal
+  const double sub_max = 2.2250738585072009e-308;  // largest subnormal
+  struct Case {
+    std::vector<double> mu;
+    std::vector<double> upper;  // lambda_ij for i < j, row-major
+  };
+  const std::vector<Case> cases = {
+      // Symmetric.
+      {{1, 1, 1, 1, 1, 1, 1}, std::vector<double>(21, 0.5)},
+      {{2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0}, {1e-5, 1e-5, 1e-5}},
+      // Asymmetric: runs of repeats broken by other values.
+      {{1, 1, 2, 2, 1}, {0.5, 0.5, 0.25, 0.25, 0.5, 3, 3, 3, 0.5, 0.5}},
+      {{0.1, 0.1, 0.2, 0.1}, {7, 7, 8, 7, 8, 8}},
+      // All distinct.
+      {{1, 2, 3, 4, 5}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}},
+      // Subnormals, repeated and not.
+      {{sub, sub, sub_max, sub_max}, {sub, sub, sub_max, sub_max, sub, 0.0}},
+      // Adjacent -0.0 and 0.0 compare == but print differently.
+      {{1, 1, 1, 1}, {0.0, -0.0, -0.0, 0.0, -0.0, 0.0}},
+      {{1, 1, 1}, {-0.0, -0.0, -0.0}},
+      {{1e300, 1e300, 1e-300}, {0.0, -0.0, 0.0}},
+      // One process: no lambda at all.
+      {{0.75}, {}},
+  };
+  for (const Case& c : cases) {
+    const ProcessSetParams p = params_from(c.mu, c.upper);
+    const std::string want = ostream_describe(p);
+    EXPECT_EQ(p.describe(), want);
+    std::string appended = "prefix ";
+    p.describe_into(appended);
+    EXPECT_EQ(appended, "prefix " + want);
+    for (SchemeKind scheme :
+         {SchemeKind::kAsynchronous, SchemeKind::kSynchronized,
+          SchemeKind::kPseudoRecoveryPoints}) {
+      for (std::size_t streams : {std::size_t{1}, std::size_t{3}}) {
+        const Scenario s = Scenario(p)
+                               .scheme(scheme)
+                               .seed(0xfedcba9876543210ULL)
+                               .streams(streams);
+        EXPECT_EQ(s.label(), ostream_label(s));
+      }
+    }
+  }
+  // The -0.0 / 0.0 case spelled out, so the reference cannot hide it.
+  EXPECT_EQ(params_from({1, 1, 1}, {0.0, -0.0, 0.0}).describe(),
+            "n=3 mu=(1,1,1) lambda=(0,-0,0) rho=0");
+}
+
+// rho = C(n,2) lambda / (n mu) => lambda = 2 rho mu / (n - 1), the fig5
+// grid arithmetic of the benches.
+double lambda_for_rho(std::size_t n, double rho) {
+  return 2.0 * rho / (static_cast<double>(n) - 1.0);
+}
+
+TEST(Scenario, GridLabelsMatchTheReference) {
+  std::vector<Scenario> cells;
+  // The Figure 5 grid: three rho levels, n = 2..9, per-n seeds, and the
+  // same cells split into streams.
+  for (double rho : {0.5, 1.0, 2.0}) {
+    for (std::size_t n = 2; n <= 9; ++n) {
+      const Scenario cell =
+          Scenario::symmetric(n, 1.0, lambda_for_rho(n, rho)).seed(1 + n);
+      cells.push_back(cell);
+      cells.push_back(Scenario(cell).streams(4));
+    }
+  }
+  // An analytic grid in the style of the sweep benchmark's: 40 rho levels
+  // drawn at random, n = 2..7, every scheme, a random seed.
+  std::mt19937_64 rng(5);
+  for (int level = 0; level < 40; ++level) {
+    const double rho =
+        0.25 + 2.75 * static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    const std::uint64_t seed = rng();
+    for (std::size_t n = 2; n <= 7; ++n) {
+      for (SchemeKind scheme :
+           {SchemeKind::kAsynchronous, SchemeKind::kSynchronized,
+            SchemeKind::kPseudoRecoveryPoints}) {
+        cells.push_back(Scenario::symmetric(n, 1.0, lambda_for_rho(n, rho))
+                            .scheme(scheme)
+                            .seed(seed));
+      }
+    }
+  }
+  for (const Scenario& cell : cells) {
+    ASSERT_EQ(cell.label(), ostream_label(cell));
+  }
+}
+
 TEST(ScenarioDeathTest, LoudMisuse) {
   EXPECT_DEATH(Scenario::symmetric(3, 1.0, 1.0).error_rate(-0.1),
                "non-negative");
