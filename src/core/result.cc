@@ -1,5 +1,7 @@
 #include "core/result.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -150,6 +152,14 @@ ResultSet ResultSet::decode(wire::Reader& r) {
   return out;
 }
 
+namespace {
+// Same bit pattern: NaN equals itself (payload included) and 0.0 differs
+// from -0.0, which is what a determinism check must see.
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+}  // namespace
+
 bool operator==(const ResultSet& a, const ResultSet& b) {
   const std::vector<Metric>& am = a.metrics();
   const std::vector<Metric>& bm = b.metrics();
@@ -160,8 +170,8 @@ bool operator==(const ResultSet& a, const ResultSet& b) {
   for (std::size_t i = 0; i < am.size(); ++i) {
     const Metric& x = am[i];
     const Metric& y = bm[i];
-    if (x.name != y.name || x.value != y.value ||
-        x.half_width != y.half_width || x.count != y.count) {
+    if (x.name != y.name || !same_bits(x.value, y.value) ||
+        !same_bits(x.half_width, y.half_width) || x.count != y.count) {
       return false;
     }
   }

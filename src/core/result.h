@@ -85,8 +85,10 @@ class ResultSet {
   void encode(wire::Writer& w) const;
   static ResultSet decode(wire::Reader& r);
 
-  // Exact (bitwise) equality of all metric names, values, half-widths and
-  // counts - the determinism contract checked by the sweep tests.
+  // Exact (bitwise) equality of the backend and scenario names and of all
+  // metric names, values, half-widths and counts - the determinism
+  // contract checked by the sweep tests.  Doubles compare by bit pattern:
+  // a NaN metric equals the same NaN, and 0.0 differs from -0.0.
   friend bool operator==(const ResultSet& a, const ResultSet& b);
   friend bool operator!=(const ResultSet& a, const ResultSet& b) {
     return !(a == b);

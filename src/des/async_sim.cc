@@ -23,28 +23,25 @@ void AsyncSimResult::merge(const AsyncSimResult& other) {
 AsyncRbSimulator::AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed)
     : params_(std::move(params)), rng_(seed) {
   const std::size_t n = params_.n();
+  std::vector<double> weights;
   for (std::size_t i = 0; i < n; ++i) {
-    weights_.push_back(params_.mu(i));
+    weights.push_back(params_.mu(i));
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (params_.lambda(i, j) > 0.0) {
-        weights_.push_back(params_.lambda(i, j));
+        weights.push_back(params_.lambda(i, j));
         pairs_.push_back({i, j});
       }
     }
   }
-  total_rate_ = 0.0;
-  for (double w : weights_) {
-    total_rate_ += w;
-  }
-  RBX_CHECK(total_rate_ > 0.0);
+  event_table_ = CategoricalTable(weights);
 }
 
 AsyncRbSimulator::EventDraw AsyncRbSimulator::next_event() {
   EventDraw draw;
-  draw.dt = rng_.exponential(total_rate_);
-  const std::size_t k = rng_.categorical(weights_.data(), weights_.size());
+  draw.dt = rng_.exponential(event_table_.total());
+  const std::size_t k = rng_.categorical(event_table_);
   if (k < params_.n()) {
     draw.is_rp = true;
     draw.a = k;

@@ -85,9 +85,10 @@ class AsyncRbSimulator {
 
   ProcessSetParams params_;
   Rng rng_;
-  std::vector<double> weights_;   // categorical weights: n RPs then pairs
+  // Event categories: n RPs, then the positive-rate pairs.  The table's
+  // total is the rate of the whole event stream.
+  CategoricalTable event_table_;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;
-  double total_rate_;
   // Per-line RP counters, reused across run_lines calls (reset at every
   // line) instead of allocating per run.
   std::vector<std::size_t> incl_scratch_;

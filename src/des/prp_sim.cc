@@ -51,31 +51,28 @@ PrpSimulator::PrpSimulator(ProcessSetParams params, PrpSimParams sim,
   RBX_CHECK(sim_.error_rate > 0.0);
   // Event categories: n RPs, the positive-rate pairs, then the error source.
   const std::size_t n = params_.n();
+  std::vector<double> weights;
   for (std::size_t i = 0; i < n; ++i) {
-    weights_.push_back(params_.mu(i));
+    weights.push_back(params_.mu(i));
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (params_.lambda(i, j) > 0.0) {
-        weights_.push_back(params_.lambda(i, j));
+        weights.push_back(params_.lambda(i, j));
         pairs_.push_back({i, j});
       }
     }
   }
-  error_category_ = weights_.size();
-  weights_.push_back(sim_.error_rate);
-  total_rate_ = 0.0;
-  for (double w : weights_) {
-    total_rate_ += w;
-  }
+  error_category_ = weights.size();
+  weights.push_back(sim_.error_rate);
+  event_table_ = CategoricalTable(weights);
 }
 
 PrpSimResult PrpSimulator::run(std::size_t failures) {
   const std::size_t n = params_.n();
-  const std::vector<double>& weights = weights_;
   const std::vector<std::pair<std::size_t, std::size_t>>& pairs = pairs_;
   const std::size_t error_category = error_category_;
-  const double total_rate = total_rate_;
+  const double total_rate = event_table_.total();
 
   PrpSimResult result;
   History history(n);
@@ -112,7 +109,7 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
       }
       next_sync += sim_.sync_period;
     }
-    const std::size_t k = rng_.categorical(weights.data(), weights.size());
+    const std::size_t k = rng_.categorical(event_table_);
 
     if (k == error_category) {
       // One outstanding error at a time keeps local/propagated ground truth

@@ -98,11 +98,11 @@ class PrpSimulator {
   PrpSimParams sim_;
   Rng rng_;
   // Event-draw tables (n RPs, the positive-rate pairs, then the error
-  // source), built once here instead of at every run() call.
-  std::vector<double> weights_;
+  // source), built once here instead of at every run() call.  The
+  // table's total is the rate of the whole event stream.
+  CategoricalTable event_table_;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;
   std::size_t error_category_ = 0;
-  double total_rate_ = 0.0;
 };
 
 }  // namespace rbx

@@ -13,7 +13,9 @@
 //             DispatchCore and a 4-thread ThreadLane, per cell: what the
 //             coordinator and the lane cost when evaluation is cheap
 //   des       the three simulators' inner event loops, plus the exact
-//             pairwise recovery-line observer behind ABL-LINE
+//             pairwise recovery-line observer behind ABL-LINE, fig5's
+//             straggler cell per recovery line, and the event-draw
+//             table build
 //   wire      encode/decode of Scenario and ResultSet, seal/parse of a
 //             plan-carrying CellBatch frame - the bytes every worker
 //             round-trip moves
@@ -52,6 +54,7 @@
 #include "numerics/matrix.h"
 #include "numerics/sparse.h"
 #include "perf/bench.h"
+#include "support/rng.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -471,6 +474,36 @@ void register_default_kernels(KernelRegistry& registry) {
                   return [sim]() -> double {
                     const PrpSimResult r = sim->run(8);
                     return r.prp_distance.mean();
+                  };
+                }});
+
+  // Figure 5's costliest Monte-Carlo cell (symmetric n = 6, rho = 2, so
+  // lambda = 0.8): one stream's event loop on a prebuilt simulator,
+  // reseeded before every call so each call replays the same trajectory.
+  // ns per recovery line; a line of this cell takes thousands of events.
+  {
+    constexpr std::size_t kLines = 16;
+    registry.add({"des_async_straggler", "des",
+                  [] {
+                    auto sim = std::make_shared<AsyncRbSimulator>(
+                        ProcessSetParams::symmetric(6, 1.0, 0.8), 0x5eed);
+                    return [sim]() -> double {
+                      sim->reseed(0x5eed);
+                      return sim->run_lines(kLines).interval.mean();
+                    };
+                  },
+                  /*threads=*/1, /*ops_per_call=*/kLines});
+  }
+
+  registry.add({"des_categorical_build", "des", [] {
+                  // The event table of a symmetric n = 9 process set
+                  // (9 RPs and 36 pairs, fig5's largest cell), built as
+                  // every simulator constructor builds it.
+                  std::vector<double> weights(9, 1.0);
+                  weights.insert(weights.end(), 36, 0.5);
+                  return [weights]() -> double {
+                    const CategoricalTable table(weights);
+                    return table.threshold(table.size() - 1);
                   };
                 }});
 

@@ -1,6 +1,9 @@
 #include "support/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "support/check.h"
 
@@ -11,6 +14,21 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+// The sequential chain's verdict for a start u: has `u -= w[j]` gone
+// negative by step i?  The same operations in the same order as the
+// definition in rng.h, so the thresholds are found against the
+// arithmetic they replace.
+bool chain_negative(double u, const std::vector<double>& w, std::size_t i) {
+  for (std::size_t j = 0; j <= i; ++j) {
+    u -= w[j];
+  }
+  return u < 0.0;
+}
+
+// Non-negative doubles order like their bit patterns read as integers.
+std::int64_t ordinal(double x) { return std::bit_cast<std::int64_t>(x); }
+double from_ordinal(std::int64_t b) { return std::bit_cast<double>(b); }
 
 }  // namespace
 
@@ -98,28 +116,66 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::size_t Rng::categorical(const double* weights, std::size_t count) {
-  RBX_CHECK(count > 0);
-  double total = 0.0;
+CategoricalTable::CategoricalTable(const std::vector<double>& weights)
+    : count_(weights.size()) {
+  const std::size_t count = count_;
+  RBX_CHECK(count > 0 && count < (std::size_t{1} << 31));
   for (std::size_t i = 0; i < count; ++i) {
-    RBX_DCHECK(weights[i] >= 0.0);
-    total += weights[i];
+    RBX_CHECK(weights[i] >= 0.0 && std::isfinite(weights[i]));
+    total_ += weights[i];
   }
-  RBX_CHECK(total > 0.0);
-  double u = uniform() * total;
-  for (std::size_t i = 0; i < count; ++i) {
-    u -= weights[i];
-    if (u < 0.0) {
-      return i;
-    }
-  }
-  // Floating-point slack: fall back to the last positive weight.
+  RBX_CHECK(total_ > 0.0 && std::isfinite(total_));
   for (std::size_t i = count; i-- > 0;) {
     if (weights[i] > 0.0) {
-      return i;
+      fallback_ = i;
+      break;
     }
   }
-  return count - 1;
+
+  // T_i is the smallest u in [0, total] at which the chain is not yet
+  // negative after step i.  Below T_{i-1} it is negative already (the
+  // down-sets are nested), so T_i is bisected out of [T_{i-1}, total].
+  thresholds_.assign(count + 1, std::numeric_limits<double>::infinity());
+  std::int64_t floor = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (chain_negative(total_, weights, i)) {
+      break;  // negative for every u: T_i and all later stay +inf
+    }
+    // Invariant: not negative at hi; negative at lo, which starts just
+    // below T_{i-1} (or at the ordinal -1 when that floor is 0).
+    std::int64_t lo = floor - 1;
+    std::int64_t hi = ordinal(total_);
+    while (hi - lo > 1) {
+      const std::int64_t mid = lo + (hi - lo) / 2;
+      if (chain_negative(from_ordinal(mid), weights, i)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    thresholds_[i] = from_ordinal(hi);
+    floor = hi;
+  }
+
+  // Guide table: four to eight buckets per category, so most buckets
+  // hold no threshold and a draw ends after one comparison; capped at
+  // 2^16 buckets, past which the scan only grows longer.
+  int bits = 0;
+  while ((std::size_t{1} << bits) < count) {
+    ++bits;
+  }
+  bits = std::min(bits + 2, 16);
+  guide_shift_ = 53 - bits;
+  guide_.resize(std::size_t{1} << bits);
+  std::size_t at = 0;
+  for (std::size_t g = 0; g < guide_.size(); ++g) {
+    const std::uint64_t r = static_cast<std::uint64_t>(g) << guide_shift_;
+    const double u = static_cast<double>(r) * 0x1.0p-53 * total_;
+    while (!(u < thresholds_[at])) {
+      ++at;
+    }
+    guide_[g] = static_cast<std::uint32_t>(at);
+  }
 }
 
 Rng Rng::split() {

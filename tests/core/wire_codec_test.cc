@@ -190,6 +190,64 @@ TEST(ResultSetCodec, MetricsRoundTripBitExactIncludingNonFinite) {
   }
   EXPECT_EQ(std::bit_cast<std::uint64_t>(back.value("neg_zero_metric")),
             std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(back, original);
+}
+
+// operator== is bitwise: the determinism contract must see a sign-of-zero
+// drift and must not fail on a result that holds a NaN.
+TEST(ResultSetEquality, NanMetricEqualsItself) {
+  ResultSet a("monte-carlo", "cell");
+  a.set("nan_metric", std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::quiet_NaN(), 3);
+  const ResultSet b = a;
+  EXPECT_TRUE(a == a);
+  EXPECT_EQ(a, b);
+  // A NaN with another payload is another bit pattern.
+  ResultSet c("monte-carlo", "cell");
+  c.set("nan_metric",
+        std::bit_cast<double>(std::bit_cast<std::uint64_t>(
+                                  std::numeric_limits<double>::quiet_NaN()) |
+                              1),
+        std::numeric_limits<double>::quiet_NaN(), 3);
+  EXPECT_NE(a, c);
+}
+
+TEST(ResultSetEquality, SignOfZeroMatters) {
+  ResultSet pos("analytic", "cell");
+  pos.set("x", 0.0, 0.0, 1);
+  ResultSet neg("analytic", "cell");
+  neg.set("x", -0.0, 0.0, 1);
+  EXPECT_NE(pos, neg);
+  ResultSet neg_hw("analytic", "cell");
+  neg_hw.set("x", 0.0, -0.0, 1);
+  EXPECT_NE(pos, neg_hw);
+  ResultSet same("analytic", "cell");
+  same.set("x", 0.0, 0.0, 1);
+  EXPECT_EQ(pos, same);
+}
+
+TEST(ResultSetEquality, HalfWidthCountAndNamesDistinguish) {
+  ResultSet base("monte-carlo", "cell");
+  base.set("x", 1.5, 0.25, 100);
+  ResultSet half_width("monte-carlo", "cell");
+  half_width.set("x", 1.5, std::nextafter(0.25, 1.0), 100);
+  EXPECT_NE(base, half_width);
+  ResultSet count("monte-carlo", "cell");
+  count.set("x", 1.5, 0.25, 101);
+  EXPECT_NE(base, count);
+  ResultSet name("monte-carlo", "cell");
+  name.set("y", 1.5, 0.25, 100);
+  EXPECT_NE(base, name);
+  ResultSet backend("analytic", "cell");
+  backend.set("x", 1.5, 0.25, 100);
+  EXPECT_NE(base, backend);
+  ResultSet longer = base;
+  longer.set("z", 0.0);
+  EXPECT_NE(base, longer);
+  // A frozen list compares by content, like a private one.
+  ResultSet frozen = base;
+  frozen.freeze();
+  EXPECT_EQ(base, frozen);
 }
 
 TEST(ResultSetCodec, EmptyResultSetRoundTrips) {

@@ -60,6 +60,7 @@ TEST(CrossValidation, AbsorbingRpProbabilityBySimulation) {
       pairs.push_back({i, j});
     }
   }
+  const CategoricalTable events(weights);
   std::vector<std::size_t> final_by(n, 0);
   const std::size_t kLines = 60000;
   const std::size_t full = (1u << n) - 1;
@@ -67,7 +68,7 @@ TEST(CrossValidation, AbsorbingRpProbabilityBySimulation) {
   std::size_t mask = full;
   std::size_t formed = 0;
   while (formed < kLines) {
-    const std::size_t k = rng.categorical(weights.data(), weights.size());
+    const std::size_t k = rng.categorical(events);
     if (k < n) {
       const std::size_t bit = std::size_t{1} << k;
       if (at_entry || (!(mask & bit) && (mask | bit) == full)) {

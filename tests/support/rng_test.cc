@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,11 +167,11 @@ TEST(Rng, BernoulliDegenerateCases) {
 
 TEST(Rng, CategoricalMatchesWeights) {
   Rng rng(31);
-  const std::vector<double> w = {1.0, 3.0, 0.0, 6.0};
+  const CategoricalTable w({1.0, 3.0, 0.0, 6.0});
   std::vector<int> counts(4, 0);
   const int trials = 100000;
   for (int i = 0; i < trials; ++i) {
-    ++counts[rng.categorical(w.data(), w.size())];
+    ++counts[rng.categorical(w)];
   }
   EXPECT_EQ(counts[2], 0);
   EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.1, 0.01);
@@ -209,6 +210,196 @@ TEST(Rng, ExponentialRaceWinnerDistribution) {
   }
   EXPECT_NEAR(a_wins / static_cast<double>(trials), a / (a + b), 0.005);
   EXPECT_NEAR(min_stats.mean(), 1.0 / (a + b), 0.01);
+}
+
+
+// --- CategoricalTable against the sequential chain it replaced ----------
+
+// The sequential inverse-transform draw that Rng::categorical used before
+// the table, kept verbatim as the reference oracle: re-sum the weights,
+// scale one uniform, and walk the `u -= w[i]` chain.
+std::size_t reference_index(double u, const std::vector<double>& w) {
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    u -= w[i];
+    if (u < 0.0) {
+      return i;
+    }
+  }
+  // Floating-point slack: fall back to the last positive weight.
+  for (std::size_t i = w.size(); i-- > 0;) {
+    if (w[i] > 0.0) {
+      return i;
+    }
+  }
+  return w.size() - 1;
+}
+
+std::size_t reference_categorical(Rng& rng, const std::vector<double>& w) {
+  double total = 0.0;
+  for (double x : w) {
+    total += x;
+  }
+  return reference_index(rng.uniform() * total, w);
+}
+
+bool chain_negative_by(double u, const std::vector<double>& w,
+                       std::size_t i) {
+  for (std::size_t j = 0; j <= i; ++j) {
+    u -= w[j];
+  }
+  return u < 0.0;
+}
+
+// The weight vectors the simulators build (n RPs, then every pair; the
+// PRP simulator appends its error source), plus edge cases: zero,
+// subnormal and 1e-300..1e300 weights, a single weight, and seeded
+// random vectors whose magnitudes span the whole finite range.
+std::vector<std::vector<double>> weight_sets() {
+  std::vector<std::vector<double>> sets;
+  for (double rho : {0.5, 1.0, 2.0}) {
+    for (std::size_t n = 2; n <= 9; ++n) {
+      std::vector<double> w(n, 1.0);
+      const double lambda = 2.0 * rho / (static_cast<double>(n) - 1.0);
+      w.insert(w.end(), n * (n - 1) / 2, lambda);
+      sets.push_back(w);
+      w.push_back(0.05);
+      sets.push_back(w);
+    }
+  }
+  sets.push_back({1.5, 1.0, 0.5, 1.5, 1.0, 0.5});
+  sets.push_back({1.0, 2.0, 0.5, 1.25, 0.7, 0.3, 1.9, 0.2, 0.45, 0.25});
+  sets.push_back({1.0, 3.0, 0.0, 6.0});
+  sets.push_back({0.0, 0.0, 2.5, 0.0, 0.0, 1e-3, 0.0});
+  sets.push_back({0x1p-1074, 3e-320, 1.0, 2.2e-308, 0x1p-1074, 0.0});
+  sets.push_back({0x1p-1074, 0x1p-1073, 5e-324, 1e-310});
+  sets.push_back({1e-300, 1e300, 1e-300, 1.0, 1e300, 1e-10, 1e200, 0.0});
+  sets.push_back({1e300, 1e-300});
+  sets.push_back({0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.7});
+  sets.push_back({0.7});
+  sets.push_back({0x1p-1074});
+  sets.push_back({0.0, 1e300});
+  Rng rng(0xca7);
+  for (int k = 0; k < 40; ++k) {
+    std::vector<double> w(1 + rng.uniform_index(60));
+    for (double& x : w) {
+      const std::uint64_t kind = rng.uniform_index(8);
+      if (kind == 0) {
+        x = 0.0;
+      } else if (kind == 1) {
+        x = std::ldexp(rng.uniform(), -1070);  // subnormal
+      } else {
+        x = std::pow(10.0, rng.uniform(-300.0, 300.0));
+      }
+    }
+    w.back() = rng.uniform(0.5, 2.0);  // keep the sum positive
+    sets.push_back(w);
+  }
+  return sets;
+}
+
+TEST(CategoricalTable, ThresholdsAreTheChainsBoundaries) {
+  for (const std::vector<double>& w : weight_sets()) {
+    const CategoricalTable table(w);
+    ASSERT_EQ(table.size(), w.size());
+    double prev = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double t = table.threshold(i);
+      ASSERT_GE(t, prev) << "thresholds must not decrease";
+      prev = t;
+      if (std::isinf(t)) {
+        // Negative after step i for every start up to the total.
+        EXPECT_TRUE(chain_negative_by(table.total(), w, i));
+        continue;
+      }
+      ASSERT_LE(t, table.total());
+      EXPECT_FALSE(chain_negative_by(t, w, i)) << "i=" << i;
+      if (t > 0.0) {
+        EXPECT_TRUE(chain_negative_by(std::nextafter(t, 0.0), w, i))
+            << "i=" << i;
+      }
+    }
+  }
+}
+
+TEST(CategoricalTable, DrawMatchesChainAtGuideEdgesAndThresholds) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const std::vector<double>& w : weight_sets()) {
+    const CategoricalTable table(w);
+    std::vector<std::uint64_t> probes = {0, 1, kTop - 1, kTop - 2};
+    // Every bucket edge of any guide up to 2^10 buckets.
+    for (int bits = 1; bits <= 10; ++bits) {
+      const int shift = 53 - bits;
+      for (std::uint64_t g = 1; g < (std::uint64_t{1} << bits); ++g) {
+        probes.push_back((g << shift) - 1);
+        probes.push_back(g << shift);
+      }
+    }
+    // The engine words whose u lands next to each threshold.
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double t = table.threshold(i);
+      if (!std::isfinite(t)) {
+        continue;
+      }
+      const double at = std::floor(t / table.total() * 0x1.0p53);
+      const auto r0 = static_cast<std::int64_t>(at);
+      for (std::int64_t d = -3; d <= 3; ++d) {
+        const std::int64_t r = r0 + d;
+        if (r >= 0 && r < static_cast<std::int64_t>(kTop)) {
+          probes.push_back(static_cast<std::uint64_t>(r));
+        }
+      }
+    }
+    for (std::uint64_t r : probes) {
+      const double u = static_cast<double>(r) * 0x1.0p-53 * table.total();
+      ASSERT_EQ(table.draw(r), reference_index(u, w)) << "r=" << r;
+    }
+  }
+}
+
+TEST(CategoricalTable, MillionSeededDrawsMatchTheChain) {
+  const std::vector<std::vector<double>> sets = weight_sets();
+  const std::size_t per_set = 1000000 / sets.size() + 1;
+  std::size_t draws = 0;
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const CategoricalTable table(sets[s]);
+    Rng fast(1000 + s);
+    Rng reference(1000 + s);
+    for (std::size_t k = 0; k < per_set; ++k) {
+      ASSERT_EQ(fast.categorical(table),
+                reference_categorical(reference, sets[s]))
+          << "set " << s << " draw " << k;
+      ++draws;
+    }
+    // Both consumed one engine word per draw.
+    EXPECT_EQ(fast.next_u64(), reference.next_u64());
+  }
+  EXPECT_GE(draws, 1000000u);
+}
+
+TEST(CategoricalTable, DrawConsumesExactlyOneEngineWord) {
+  const CategoricalTable table(std::vector<double>{0.5, 2.0, 0.0, 1.25});
+  Rng drawn(77);
+  Rng uniforms(77);
+  for (int k = 0; k < 1000; ++k) {
+    drawn.categorical(table);
+    uniforms.uniform();
+  }
+  for (int k = 0; k < 8; ++k) {
+    EXPECT_EQ(drawn.next_u64(), uniforms.next_u64());
+  }
+}
+
+TEST(CategoricalTable, TotalAndFallbackFollowTheChain) {
+  const std::vector<double> w = {0.1, 0.2, 0.3, 0.0, 0.0};
+  const CategoricalTable table(w);
+  EXPECT_EQ(table.total(), (0.1 + 0.2) + 0.3);
+  EXPECT_EQ(table.fallback(), 2u);
+  // A single weight draws index 0 for every engine word.
+  const CategoricalTable one(std::vector<double>{0x1p-1074});
+  Rng rng(5);
+  for (int k = 0; k < 100; ++k) {
+    EXPECT_EQ(rng.categorical(one), 0u);
+  }
 }
 
 }  // namespace
