@@ -29,9 +29,9 @@
 //                seeding (core/sweep.h);
 //   Lane         where sweep cells run (core/lane.h): ThreadLane (worker
 //                threads), ForkLane (forked workers, respawned on
-//                crash), net::TcpLane (remote sweep_workerd daemons,
-//                net/cluster.h) and fleet::FleetLane (daemons resolved
-//                from a fleet registry, fleet/lane.h);
+//                crash) and fleet::RemoteLane (sweep_workerd daemons
+//                named with --connect or resolved from a fleet registry
+//                with --fleet, fleet/lane.h);
 //   DispatchCore the one way to evaluate cells (core/dispatch.h): a
 //                scheduler over caller-owned lanes - any mix of them in
 //                a single sweep - with a cell queue, adaptive batch
@@ -71,7 +71,7 @@
 //                sweep is answered from disk without re-evaluating,
 //                bypassed per-sweep by --no-cache and size-capped at
 //                startup by --cache-max-bytes;
-//   FleetRegistry the elastic shared fleet (fleet/registry.h, fleet/lane.h,
+//   FleetRegistry the elastic shared fleet (fleet/registry.h,
 //                fleet_registryd): sweep_workerd daemons join a registry
 //                and heartbeat it (silence past the eviction window drops
 //                them from the pool), coordinators resolve the live
@@ -163,11 +163,11 @@
 //              core/lane.h), SweepRunner (core/experiment.h); the
 //              specialized backends (density, ablation, structure) live
 //              here too
-//   net/       the TCP lane of the dispatch layer (TcpLane) and the
-//              worker daemon (WorkerServer)
+//   net/       sockets, framing and the worker daemon (WorkerServer)
 //   fleet/     the shared-fleet subsystem: registry + membership
 //              (join/heartbeat/leave), fair-share leasing, pre-shared-key
-//              auth (HMAC-SHA256, signed leases), FleetLane (--fleet)
+//              auth (HMAC-SHA256, signed leases), and RemoteLane, the one
+//              lane over remote daemons (--connect and --fleet)
 //   recov/     crash durability: sweep journal + resume planning +
 //              the worker-side result cache
 //   perf/      the bench harness: kernel registry, interval measurement,
@@ -202,7 +202,6 @@
 #include "model/params.h"              // IWYU pragma: export
 #include "model/prp_model.h"           // IWYU pragma: export
 #include "model/sync_model.h"          // IWYU pragma: export
-#include "net/cluster.h"               // IWYU pragma: export
 #include "net/worker.h"                // IWYU pragma: export
 #include "perf/bench.h"                // IWYU pragma: export
 #include "perf/report.h"               // IWYU pragma: export

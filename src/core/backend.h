@@ -78,7 +78,7 @@ const EvalBackend* find_backend(const std::string& name);
 // all have the same shape - evaluate one backend, then merge() further
 // backends under a metric prefix - and an EvalPlan is that shape as data,
 // so a cell can be shipped to a worker daemon on another host
-// (net/cluster.h) that has no access to the bench's closures.  Executing a
+// (fleet/lane.h) that has no access to the bench's closures.  Executing a
 // plan locally and remotely calls the same backend singletons in the same
 // order, which is what keeps cluster runs byte-identical to in-process
 // runs.

@@ -32,7 +32,7 @@
 //              recognized by the committed mask and dropped;
 //   re-admission
 //              a lost worker whose lane can revive it (a ForkLane child
-//              is respawned; a TcpLane endpoint is reconnected) is
+//              is respawned; a RemoteLane daemon is reconnected) is
 //              retried on a doubling backoff timer, re-handshaken
 //              against the same grid fingerprint, and rejoins the live
 //              pool mid-sweep, taking queue or stolen work.

@@ -54,7 +54,7 @@ CellOutcome evaluate_cell(const CellFn& cell_fn, const Scenario& cell,
 //
 // The request/response currency between a coordinator and its workers -
 // forked children on socketpairs (core/lane.h) and remote daemons on TCP
-// (net/cluster.h) exchange the same kCellBatch / kResultBatch frames,
+// (fleet/lane.h) exchange the same kCellBatch / kResultBatch frames,
 // encoded by the codecs below; ThreadLane workers post a ResultBatch by
 // move.  A cell optionally carries an EvalPlan: forked children inherit
 // the sweep's cell_fn closure and need none, while a remote daemon has

@@ -14,7 +14,6 @@
 #include "core/lane.h"
 #include "fleet/auth.h"
 #include "fleet/lane.h"
-#include "net/cluster.h"
 #include "recov/journal.h"
 #include "recov/resume.h"
 
@@ -155,10 +154,9 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
       continue;
     } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
       std::string why;
-      if (!net::parse_endpoint(arg + 8, &opts.fleet, &why)) {
+      if (!net::parse_endpoint(arg + 8, &opts.fleet.emplace(), &why)) {
         usage_error(prog, arg, why.c_str());
       }
-      opts.fleet_given = true;
       continue;
     } else if (std::strncmp(arg, "--fleet-workers=", 16) == 0) {
       std::uint64_t n = 0;
@@ -262,21 +260,20 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
     usage_error(prog, "--connect",
                 "--merge evaluates nothing, so --connect is meaningless");
   }
-  if (opts.fleet_given && !opts.connect.empty()) {
+  if (opts.fleet && !opts.connect.empty()) {
     usage_error(prog, "--fleet",
                 "--fleet resolves its daemons from the registry; naming "
                 "them with --connect too is contradictory - pick one");
   }
-  if (opts.fleet_given && !opts.merge_inputs.empty()) {
+  if (opts.fleet && !opts.merge_inputs.empty()) {
     usage_error(prog, "--fleet",
                 "--merge evaluates nothing, so --fleet is meaningless");
   }
-  if (opts.fleet_workers != 0 && !opts.fleet_given) {
+  if (opts.fleet_workers != 0 && !opts.fleet) {
     usage_error(prog, "--fleet-workers",
                 "--fleet-workers only applies to --fleet runs");
   }
-  if (!opts.auth_key_file.empty() && opts.connect.empty() &&
-      !opts.fleet_given) {
+  if (!opts.auth_key_file.empty() && opts.connect.empty() && !opts.fleet) {
     usage_error(prog, "--auth-key-file",
                 "--auth-key-file only applies to --connect or --fleet "
                 "runs (only remote daemons authenticate)");
@@ -285,7 +282,7 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
   // under any worker lane (forked or remote) and any hybrid mix of them -
   // but meaningless on a pure --threads run, where they would silently do
   // nothing (threads take single cells and cannot usefully straggle).
-  const bool remote_lane = !opts.connect.empty() || opts.fleet_given;
+  const bool remote_lane = !opts.connect.empty() || opts.fleet;
   if (batch_given && opts.workers == 0 && !remote_lane) {
     usage_error(prog, "--batch",
                 "--batch only applies to runs with a --workers, --connect "
@@ -373,27 +370,19 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
     lanes_.push_back(std::make_unique<ForkLane>(opts_.workers));
   }
   if (opts_.threads_given ||
-      (opts_.workers == 0 && opts_.connect.empty() && !opts_.fleet_given)) {
+      (opts_.workers == 0 && opts_.connect.empty() && !opts_.fleet)) {
     lanes_.push_back(std::make_unique<ThreadLane>(opts_.threads));
   }
-  if (!opts_.connect.empty()) {
-    net::TcpLaneOptions tcp;
-    tcp.endpoints = opts_.connect;
+  if (!opts_.connect.empty() || opts_.fleet) {
+    fleet::RemoteLaneOptions remote;
+    remote.registry = opts_.fleet;
+    remote.endpoints = opts_.connect;
+    remote.max_workers = static_cast<std::uint32_t>(opts_.fleet_workers);
+    remote.auth_key = auth_key;
     // With local lanes present, an unreachable pool degrades the sweep
-    // instead of killing it; a --connect-only run still fails loudly.
-    tcp.required = lanes_.empty();
-    tcp.auth_key = auth_key;
-    lanes_.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
-    remote_lanes_ = true;
-  }
-  if (opts_.fleet_given) {
-    fleet::FleetLaneOptions flt;
-    flt.registry = opts_.fleet;
-    flt.auth_key = auth_key;
-    flt.max_workers = static_cast<std::uint32_t>(opts_.fleet_workers);
-    flt.required = lanes_.empty();
-    lanes_.push_back(std::make_unique<fleet::FleetLane>(std::move(flt)));
-    remote_lanes_ = true;
+    // instead of killing it; a remote-only run still fails loudly.
+    remote.required = lanes_.empty();
+    lanes_.push_back(std::make_unique<fleet::RemoteLane>(std::move(remote)));
   }
   DispatchOptions dispatch;
   dispatch.batch_size = opts_.batch;
@@ -455,7 +444,7 @@ std::vector<CellOutcome> SweepRunner::evaluate(
     const std::vector<Scenario>& cells, const CellFn& cell_fn,
     const PlanFn* plan_fn) {
   try {
-    if (remote_lanes_ && plan_fn == nullptr) {
+    if ((!opts_.connect.empty() || opts_.fleet) && plan_fn == nullptr) {
       std::fprintf(stderr,
                    "--connect/--fleet: this sweep evaluates through a "
                    "local-only cell function and cannot run on remote "

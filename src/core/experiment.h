@@ -131,9 +131,9 @@ struct ExperimentOptions {
                                // even when --workers/--connect are present
   std::size_t workers = 0;   // forked-worker lane size; 0 = no fork lane
   std::size_t batch = 0;     // cells per worker batch; 0 = adaptive
-  std::vector<net::Endpoint> connect;  // non-empty = TCP lane
-  bool fleet_given = false;  // --fleet named: registry-resolved TCP lane
-  net::Endpoint fleet;       // the registry endpoint
+  std::vector<net::Endpoint> connect;  // non-empty = remote lane
+  std::optional<net::Endpoint> fleet;  // --fleet: the registry the remote
+                                       // lane resolves its daemons from
   std::size_t fleet_workers = 0;  // --fleet-workers: grant cap; 0 = share
   std::string auth_key_file;  // --auth-key-file: pre-shared key path
   bool steal = false;        // steal stragglers' tails (multi-lane runs)
@@ -156,8 +156,8 @@ struct ExperimentOptions {
 // flags selected:
 //
 //   normal      evaluate all cells on the composed lanes (a ThreadLane by
-//               default; a ForkLane with --workers; a TcpLane with
-//               --connect or a FleetLane with --fleet; any mix at once)
+//               default; a ForkLane with --workers; a RemoteLane with
+//               --connect or --fleet; any mix at once)
 //               through one DispatchCore and hand the results back;
 //   --shard=i/k evaluate only the owned cells of each sweep, journal them
 //               (the other cells are pre-committed with empty outcomes, so
@@ -217,12 +217,11 @@ class SweepRunner {
   // --merge: the analysis of each input journal, in opts_.merge_inputs
   // order.
   std::vector<recov::JournalAnalysis> merge_journals_;
-  // The lanes serve the whole bench run (a TCP lane's worker connections
+  // The lanes serve the whole bench run (a RemoteLane's worker connections
   // persist across sweeps); the core over them is declared after them so
   // it is destroyed first.  No lanes and no core in merge mode.
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::optional<DispatchCore> core_;
-  bool remote_lanes_ = false;  // a --connect/--fleet lane: plans required
   // Crash durability (--journal / --resume): the writer appends a record
   // per committed cell; the recovered analysis seeds resumed sweeps.
   std::unique_ptr<recov::JournalWriter> journal_;

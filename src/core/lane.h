@@ -13,14 +13,13 @@
 //   ForkLane     forked worker processes (process isolation: an aborting
 //                cell cannot take the sweep down), respawned on crash so
 //                one poisoned cell costs a retry, not a worker;
-//   TcpLane      remote sweep_workerd daemons (net/cluster.h) - cells
+//   RemoteLane   remote sweep_workerd daemons (fleet/lane.h), named on a
+//                --connect list or granted by a fleet registry - cells
 //                carry EvalPlans, sweeps open with a versioned Hello
-//                handshake, and a lost endpoint is re-admitted mid-sweep
-//                once it reconnects and re-handshakes;
-//   FleetLane    remote daemons resolved from a fleet registry at sweep
-//                start (fleet/lane.h) - the same protocol as TcpLane, with
-//                a signed lease in the Hello, and a worker lost mid-sweep
-//                is backfilled by any other registry member.
+//                handshake (with a signed lease for a registry member),
+//                and a lost worker is re-admitted mid-sweep once it
+//                reconnects and re-handshakes (a registry worker may be
+//                backfilled by another member).
 //
 // The caller owns its lanes and hands DispatchCore raw pointers to them.
 //
@@ -229,12 +228,10 @@ struct FramedWorker : LaneWorker {
 // A source of workers of one kind.  start() is called once per
 // DispatchCore::run to (re)create the lane's workers for the sweep;
 // finish() reaps per-sweep workers (threads joined, children waited on) -
-// a persistent lane (TCP) keeps its connections instead.
+// a persistent lane (RemoteLane) keeps its connections instead.
 class Lane {
  public:
   virtual ~Lane() = default;
-
-  virtual std::string name() const = 0;
 
   // Appends this lane's workers (owned by the lane, valid until finish())
   // to *out.  cell_count lets a lane clamp its worker count to the work
@@ -247,7 +244,7 @@ class Lane {
   // pool: a cell gets its own thread plus every worker that has no batch
   // pending, so 1 cell on 4 threads runs 4-way.  A ForkLane clamps its
   // children to cell_count and gives each child a pool of (workers /
-  // children raised - 1) helper threads.  Remote daemons (TCP/fleet)
+  // children raised - 1) helper threads.  Remote daemons (RemoteLane)
   // size their own pools (sweep_workerd --eval-threads).
   virtual void start(std::size_t cell_count, const CellFn& cell_fn,
                      std::vector<LaneWorker*>* out) = 0;
@@ -266,7 +263,6 @@ class ThreadLane final : public Lane {
   explicit ThreadLane(std::size_t threads);
   ~ThreadLane() override;
 
-  std::string name() const override { return "thread"; }
   std::size_t threads() const { return threads_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,
@@ -297,7 +293,6 @@ class ForkLane final : public Lane {
   explicit ForkLane(std::size_t workers);
   ~ForkLane() override;
 
-  std::string name() const override { return "fork"; }
   std::size_t workers() const { return count_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -10,19 +11,13 @@
 namespace rbx {
 namespace fleet {
 
-struct FleetLane::FleetWorker final : FramedWorker {
-  FleetWorker(FleetLane* lane, const GrantedMember& grant)
-      : lane_(lane) { set_grant(grant); }
-
-  void set_grant(const GrantedMember& grant) {
-    endpoint_.host = grant.host;
-    endpoint_.port = grant.port;
-    lease_token_ = grant.lease_token;
-    lease_sig_ = grant.lease_sig;
-  }
+struct RemoteLane::Worker final : FramedWorker {
+  Worker(RemoteLane* lane, Member member)
+      : lane_(lane), member_(std::move(member)) {}
 
   std::string describe() const override {
-    return endpoint_.to_string() + " (fleet)";
+    const std::string endpoint = member_.endpoint.to_string();
+    return member_.lease ? endpoint + " (fleet)" : endpoint;
   }
   bool remote() const override { return true; }
 
@@ -30,9 +25,11 @@ struct FleetLane::FleetWorker final : FramedWorker {
     if (!lane_->options_.auth_key.empty()) {
       hello.flags |= kHelloFlagAuth;
     }
-    hello.flags |= kHelloFlagLease;
-    hello.lease_token = lease_token_;
-    hello.lease_sig = lease_sig_;
+    if (member_.lease) {
+      hello.flags |= kHelloFlagLease;
+      hello.lease_token = member_.lease->token;
+      hello.lease_sig = member_.lease->sig;
+    }
   }
   std::string auth_response(const std::string& challenge) const override {
     if (lane_->options_.auth_key.empty()) {
@@ -41,21 +38,24 @@ struct FleetLane::FleetWorker final : FramedWorker {
     return auth_mac(lane_->options_.auth_key, challenge);
   }
 
-  // Unlike a TcpLane endpoint, a fleet worker is always worth reviving:
-  // even if *this* daemon is gone for good, the registry may hand us a
-  // different member to take its place.
-  bool can_revive() const override { return true; }
+  // Only a static endpoint that has spoken to us before is worth the
+  // backoff timer.  A registry worker always is: even if *this* daemon is
+  // gone for good, the registry may hand us another member.
+  bool can_revive() const override {
+    return lane_->options_.registry || ever_connected_;
+  }
   int revive_delay_ms() const override {
     return lane_->options_.readmit_delay_ms;
   }
 
   Revive revive() override {
-    if (!lane_->retarget(this)) {
+    if (lane_->options_.registry && !lane_->retarget(this)) {
       return Revive::kFailed;
     }
     bool in_progress = false;
     std::string err;
-    net::Socket sock = net::start_connect(endpoint_, &in_progress, &err);
+    net::Socket sock =
+        net::start_connect(member_.endpoint, &in_progress, &err);
     if (!sock.valid()) {
       return Revive::kFailed;
     }
@@ -73,49 +73,71 @@ struct FleetLane::FleetWorker final : FramedWorker {
     return true;
   }
 
-  FleetLane* lane_;
-  net::Endpoint endpoint_;
-  std::uint64_t lease_token_ = 0;
-  std::uint64_t lease_sig_ = 0;
+  RemoteLane* lane_;
+  Member member_;
+  bool ever_connected_ = false;
 };
 
-FleetLane::FleetLane(FleetLaneOptions options)
+RemoteLane::RemoteLane(RemoteLaneOptions options)
     : options_(std::move(options)),
-      client_(RegistryClientOptions{options_.registry, options_.auth_key,
+      client_(RegistryClientOptions{options_.registry.value_or(
+                                        net::Endpoint{}),
+                                    options_.auth_key,
                                     options_.connect_retries,
                                     options_.quiet}) {
-  coordinator_id_ = options_.coordinator_id != 0
-                        ? options_.coordinator_id
-                        : static_cast<std::uint64_t>(::getpid());
-}
-
-FleetLane::~FleetLane() = default;
-
-std::size_t FleetLane::live() const {
-  std::size_t n = 0;
-  for (const auto& worker : workers_) {
-    if (worker->channel_.open()) {
-      ++n;
-    }
+  if (options_.coordinator_id == 0) {
+    options_.coordinator_id = static_cast<std::uint64_t>(::getpid());
   }
-  return n;
 }
 
-void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                      std::vector<LaneWorker*>* out) {
+RemoteLane::~RemoteLane() = default;
+
+std::size_t RemoteLane::live() const {
+  return std::count_if(workers_.begin(), workers_.end(), [](const auto& w) {
+    return w->channel_.open();
+  });
+}
+
+std::vector<RemoteLane::Member> RemoteLane::members(bool announce) {
+  std::vector<Member> out;
+  if (!options_.registry) {
+    for (const net::Endpoint& endpoint : options_.endpoints) {
+      out.push_back(Member{endpoint, std::nullopt});
+    }
+    return out;
+  }
+  ResolveRequest req;
+  req.coordinator_id = options_.coordinator_id;
+  req.max_workers = options_.max_workers;
+  const GrantResponse grant = client_.resolve(req);
+  if (announce && !options_.quiet) {
+    std::fprintf(stderr,
+                 "fleet: registry %s granted %zu of %u live member(s)\n",
+                 options_.registry->to_string().c_str(),
+                 grant.members.size(),
+                 static_cast<unsigned>(grant.live_members));
+  }
+  for (const GrantedMember& member : grant.members) {
+    out.push_back(Member{net::Endpoint{member.host, member.port},
+                         Lease{member.lease_token, member.lease_sig}});
+  }
+  return out;
+}
+
+void RemoteLane::start(std::size_t cell_count, const CellFn& cell_fn,
+                       std::vector<LaneWorker*>* out) {
   (void)cell_count;
-  (void)cell_fn;  // fleet daemons evaluate plans, never local closures
-  if (!resolved_) {
-    resolved_ = true;
-    GrantResponse grant;
+  (void)cell_fn;  // remote daemons evaluate plans, never local closures
+  if (!started_) {
+    started_ = true;
+    const bool registry = options_.registry.has_value();
+    std::vector<Member> initial;
     try {
-      ResolveRequest req;
-      req.coordinator_id = coordinator_id_;
-      req.max_workers = options_.max_workers;
-      grant = client_.resolve(req);
+      initial = members(/*announce=*/true);
     } catch (const net::Error& e) {
-      // A --fleet-only run must fail loudly; a hybrid run degrades to its
-      // local lanes (the registry stays out of reach for this process).
+      // Only a registry throws here.  A --fleet-only run must fail loudly;
+      // a hybrid run degrades to its local lanes (the registry stays out
+      // of reach for this process).
       if (options_.required) {
         throw;
       }
@@ -125,39 +147,34 @@ void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
       }
       return;
     }
-    if (!options_.quiet) {
-      std::fprintf(stderr,
-                   "fleet: registry %s granted %zu of %u live member(s)\n",
-                   options_.registry.to_string().c_str(),
-                   grant.members.size(),
-                   static_cast<unsigned>(grant.live_members));
-    }
-    if (grant.members.empty() && options_.required) {
-      throw net::Error("fleet: registry " +
-                       options_.registry.to_string() +
+    if (registry && initial.empty() && options_.required) {
+      throw net::Error("fleet: registry " + options_.registry->to_string() +
                        " has no live members to grant (no daemon joined, "
                        "or all heartbeats expired)");
     }
-    for (const GrantedMember& member : grant.members) {
-      auto worker = std::make_unique<FleetWorker>(this, member);
+    for (Member& member : initial) {
+      auto worker = std::make_unique<Worker>(this, std::move(member));
       try {
-        net::Socket sock =
-            net::connect_to(worker->endpoint_, options_.connect_retries);
+        net::Socket sock = net::connect_to(worker->member_.endpoint,
+                                           options_.connect_retries);
         worker->channel_ = FrameChannel(sock.release());
+        worker->ever_connected_ = true;
       } catch (const net::Error& e) {
         if (!options_.quiet) {
-          std::fprintf(stderr,
-                       "fleet: %s (leaving this member to the backfill "
-                       "timer)\n",
-                       e.what());
+          std::fprintf(stderr, "%s: %s (%s)\n",
+                       registry ? "fleet" : "cluster", e.what(),
+                       registry ? "leaving this member to the backfill timer"
+                                : "continuing without this worker");
         }
       }
       workers_.push_back(std::move(worker));
     }
     if (live() == 0 && options_.required) {
-      throw net::Error("fleet: none of the " +
-                       std::to_string(workers_.size()) +
-                       " granted members are reachable");
+      throw net::Error(
+          std::string(registry ? "fleet" : "cluster") + ": none of the " +
+          std::to_string(workers_.size()) +
+          (registry ? " granted members" : " configured workers") +
+          " are reachable");
     }
   }
   for (const auto& worker : workers_) {
@@ -165,20 +182,18 @@ void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
   }
 }
 
-void FleetLane::finish() {
-  // Persistent lane: connections and leases survive into the next sweep.
+void RemoteLane::finish() {
+  // Persistent lane: connections, leases and the knowledge of which
+  // members have died survive into the next sweep.
 }
 
-bool FleetLane::retarget(FleetWorker* worker) {
-  // Ask the registry for the pool as it stands *now* - eviction has
-  // already removed anything heartbeat-expired, and a member that joined
-  // after the sweep started is in the grant like any other.
-  GrantResponse grant;
+bool RemoteLane::retarget(Worker* worker) {
+  // The pool as it stands *now*: eviction has already removed anything
+  // heartbeat-expired, and a member that joined after the sweep started
+  // is in the grant like any other.
+  std::vector<Member> granted;
   try {
-    ResolveRequest req;
-    req.coordinator_id = coordinator_id_;
-    req.max_workers = options_.max_workers;
-    grant = client_.resolve(req);
+    granted = members(/*announce=*/false);
   } catch (const net::Error& e) {
     if (!options_.quiet) {
       std::fprintf(stderr, "fleet: re-resolve failed (%s); will retry\n",
@@ -186,37 +201,30 @@ bool FleetLane::retarget(FleetWorker* worker) {
     }
     return false;
   }
-  const auto in_use = [&](const std::string& host, std::uint16_t port) {
+  const auto held = [&](const net::Endpoint& endpoint) {
     for (const auto& other : workers_) {
-      if (other.get() == worker) {
-        continue;
-      }
-      if (other->channel_.open() && other->endpoint_.host == host &&
-          other->endpoint_.port == port) {
+      if (other.get() != worker && other->member_.endpoint == endpoint) {
         return true;
       }
     }
     return false;
   };
-  // Prefer a member this sweep is not already using and that is not the
-  // endpoint we just lost (a fresh joiner backfilling the loss); fall
-  // back to the lost endpoint itself if the registry still vouches for
-  // it - the daemon may simply have restarted.
-  const GrantedMember* fresh = nullptr;
-  const GrantedMember* same = nullptr;
-  for (const GrantedMember& member : grant.members) {
-    if (in_use(member.host, member.port)) {
+  // Prefer a member no other worker holds and that is not the endpoint we
+  // just lost (a fresh joiner backfilling the loss); fall back to the lost
+  // endpoint itself if the registry still vouches for it.
+  const Member* fresh = nullptr;
+  const Member* same = nullptr;
+  for (const Member& member : granted) {
+    if (held(member.endpoint)) {
       continue;
     }
-    const bool is_old = member.host == worker->endpoint_.host &&
-                        member.port == worker->endpoint_.port;
-    if (is_old) {
+    if (member.endpoint == worker->member_.endpoint) {
       same = &member;
     } else if (fresh == nullptr) {
       fresh = &member;
     }
   }
-  const GrantedMember* pick = fresh != nullptr ? fresh : same;
+  const Member* pick = fresh != nullptr ? fresh : same;
   if (pick == nullptr) {
     return false;
   }
@@ -226,11 +234,11 @@ bool FleetLane::retarget(FleetWorker* worker) {
       std::fprintf(stderr,
                    "fleet: backfilling lost worker %s with registry member "
                    "%s\n",
-                   worker->endpoint_.to_string().c_str(),
-                   pick->endpoint().c_str());
+                   worker->member_.endpoint.to_string().c_str(),
+                   pick->endpoint.to_string().c_str());
     }
   }
-  worker->set_grant(*pick);
+  worker->member_ = *pick;
   return true;
 }
 

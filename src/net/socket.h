@@ -4,7 +4,7 @@
 // Everything here is deliberately boring POSIX: blocking sockets, IPv4/
 // IPv6 via getaddrinfo, EINTR handled by support/io.h.  The interesting
 // protocol lives one layer up in net/frame.h (framed wire traffic) and
-// net/cluster.h / net/worker.h (coordinator and worker roles).
+// fleet/lane.h / net/worker.h (coordinator and worker roles).
 //
 // Errors are net::Error (a std::runtime_error): a refused connection, an
 // unresolvable host or a failed bind are infrastructure failures the
@@ -57,6 +57,7 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   std::string to_string() const;
+  bool operator==(const Endpoint&) const = default;
 };
 
 // Strict "host:port" parse: non-empty host, port a plain integer in

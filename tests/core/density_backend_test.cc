@@ -16,8 +16,8 @@
 #include "core/executor.h"
 #include "core/lane.h"
 #include "des/async_sim.h"
+#include "fleet/lane.h"
 #include "model/async_model.h"
-#include "net/cluster.h"
 #include "net/worker.h"
 #include "support/stats.h"
 
@@ -113,10 +113,10 @@ TEST(DensityBackendTest, SweepIsBitwiseIdenticalAcrossExecutionModes) {
   std::thread worker_thread([&worker]() { worker.serve(); });
   std::vector<CellOutcome> remote;
   {
-    net::TcpLaneOptions topts;
+    fleet::RemoteLaneOptions topts;
     topts.endpoints = {{"127.0.0.1", worker.port()}};
     topts.quiet = true;
-    net::TcpLane tcp(std::move(topts));
+    fleet::RemoteLane tcp(std::move(topts));
     DispatchOptions options;
     options.quiet = true;
     DispatchCore core({&tcp}, options);

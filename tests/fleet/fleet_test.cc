@@ -24,7 +24,6 @@
 #include "fleet/auth.h"
 #include "fleet/client.h"
 #include "fleet/registry.h"
-#include "net/cluster.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
@@ -120,9 +119,9 @@ struct TestRegistry {
   std::thread thread;
 };
 
-fleet::FleetLaneOptions fleet_options(const net::Endpoint& registry,
+fleet::RemoteLaneOptions fleet_options(const net::Endpoint& registry,
                                       std::string auth_key = {}) {
-  fleet::FleetLaneOptions opts;
+  fleet::RemoteLaneOptions opts;
   opts.registry = registry;
   opts.auth_key = std::move(auth_key);
   opts.coordinator_id = 1;  // pinned: fair-share grants are exact
@@ -132,7 +131,7 @@ fleet::FleetLaneOptions fleet_options(const net::Endpoint& registry,
 
 // One quiet sweep of `cells` on the caller's fleet lane, which outlives it
 // (so its counters stay readable afterwards).
-std::vector<CellOutcome> run_fleet_sweep(fleet::FleetLane& lane,
+std::vector<CellOutcome> run_fleet_sweep(fleet::RemoteLane& lane,
                                          const std::vector<Scenario>& cells,
                                          const PlanFn& plan,
                                          DispatchOptions options = {}) {
@@ -158,10 +157,10 @@ TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   // The same daemons, named explicitly: the --connect baseline.
   std::vector<CellOutcome> connect_run;
   {
-    net::TcpLaneOptions topts;
+    fleet::RemoteLaneOptions topts;
     topts.endpoints = {w1.endpoint(), w2.endpoint()};
     topts.quiet = true;
-    net::TcpLane tcp(std::move(topts));
+    fleet::RemoteLane tcp(std::move(topts));
     DispatchOptions options;
     options.quiet = true;
     DispatchCore core({&tcp}, options);
@@ -170,7 +169,7 @@ TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   }
 
   // Resolved through the registry instead: same bytes.
-  fleet::FleetLane lane(fleet_options(registry.endpoint()));
+  fleet::RemoteLane lane(fleet_options(registry.endpoint()));
   const auto fleet_run = run_fleet_sweep(lane, cells, plan);
 
   ASSERT_EQ(fleet_run.size(), cells.size());
@@ -201,7 +200,7 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
   TestWorker w1(worker_options(/*once=*/false, 0, key));
   registry.admit(w1, key);
 
-  fleet::FleetLane lane(fleet_options(registry.endpoint(), key));
+  fleet::RemoteLane lane(fleet_options(registry.endpoint(), key));
   const auto fleet_run = run_fleet_sweep(lane, cells, plan);
   ASSERT_EQ(fleet_run.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -229,7 +228,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   auto lane_options = fleet_options(registry.endpoint());
   lane_options.readmit_delay_ms = 400;  // first revive lands after the
                                         // membership change below
-  fleet::FleetLane lane(lane_options);
+  fleet::RemoteLane lane(lane_options);
 
   std::thread operator_thread([&]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -258,7 +257,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
 
 TEST(FleetLaneTest, RequiredLaneFailsLoudlyOnAnEmptyRegistry) {
   TestRegistry registry;  // no members
-  fleet::FleetLane lane(fleet_options(registry.endpoint()));
+  fleet::RemoteLane lane(fleet_options(registry.endpoint()));
   std::vector<LaneWorker*> workers;
   EXPECT_THROW(lane.start(10, CellFn(), &workers), net::Error);
 }
@@ -273,7 +272,7 @@ TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
   auto options = fleet_options({"127.0.0.1", dead_port});
   options.required = false;  // a hybrid run falls back to local lanes
   options.connect_retries = 0;
-  fleet::FleetLane lane(options);
+  fleet::RemoteLane lane(options);
   std::vector<LaneWorker*> workers;
   lane.start(10, CellFn(), &workers);
   EXPECT_TRUE(workers.empty());

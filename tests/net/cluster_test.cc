@@ -1,10 +1,11 @@
-// The TCP lane contract: a sweep spanning TCP workers is
-// bitwise identical to an in-process run of the same plans - including a
-// run where a worker dies mid-sweep and its in-flight cells roll back to
-// the survivors (the distributed analogue of backward error recovery).
+// The --connect lane contract (a RemoteLane over a static endpoint list):
+// a sweep spanning TCP workers is bitwise identical to an in-process run
+// of the same plans - including a run where a worker dies mid-sweep and
+// its in-flight cells roll back to the survivors (the distributed analogue
+// of backward error recovery).
 // Workers here are real WorkerServer instances on loopback sockets inside
 // threads - the same code tools/sweep_workerd.cc runs.
-#include "net/cluster.h"
+#include "fleet/lane.h"
 
 #include <cstddef>
 #include <string>
@@ -69,10 +70,16 @@ struct TestWorker {
 // sessions - the tools/sweep_workerd --serve mode.  stop() unblocks the
 // serve loop; the destructor joins it.
 struct PoolWorker {
-  explicit PoolWorker(std::size_t max_coordinators, std::size_t delay_ms = 0)
-      : server(net::WorkerOptions{/*port=*/0, /*once=*/false,
-                                  /*fail_after=*/0, /*quiet=*/true,
-                                  max_coordinators, delay_ms, /*cache_dir=*/{}}),
+  explicit PoolWorker(std::size_t max_coordinators, std::size_t delay_ms = 0,
+                      std::string auth_key = {})
+      : server([&]() {
+          net::WorkerOptions opts;
+          opts.quiet = true;
+          opts.max_coordinators = max_coordinators;
+          opts.delay_ms = delay_ms;
+          opts.auth_key = std::move(auth_key);
+          return opts;
+        }()),
         thread([this]() { server.serve(); }) {}
   ~PoolWorker() {
     server.stop();
@@ -86,7 +93,7 @@ struct PoolWorker {
 };
 
 // One quiet sweep of `cells` on `lane` under a fresh DispatchCore: a
-// TcpLane evaluates `plan` remotely, a ThreadLane (the local reference)
+// RemoteLane evaluates `plan` remotely, a ThreadLane (the local reference)
 // runs the same plan through evaluate_plan.
 SweepResult run_on(Lane& lane, const std::vector<Scenario>& cells,
                    const PlanFn& plan, DispatchOptions options = {}) {
@@ -96,7 +103,7 @@ SweepResult run_on(Lane& lane, const std::vector<Scenario>& cells,
   return core.run(cells, local_fn_for(plan));
 }
 
-TEST(TcpLaneTest, MatchesInProcessBitwise) {
+TEST(ConnectLaneTest, MatchesInProcessBitwise) {
   const std::vector<Scenario> cells = mc_grid(17);
   const PlanFn plan = mc_plan();
   ThreadLane local(1);
@@ -105,10 +112,10 @@ TEST(TcpLaneTest, MatchesInProcessBitwise) {
   TestWorker w1;
   TestWorker w2;
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {w1.endpoint(), w2.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote = run_on(lane, cells, plan).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -118,7 +125,7 @@ TEST(TcpLaneTest, MatchesInProcessBitwise) {
   }
 }
 
-TEST(TcpLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
+TEST(ConnectLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(23);
   const PlanFn plan = mc_plan();
   ThreadLane local(1);
@@ -133,10 +140,10 @@ TEST(TcpLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   // next batch in flight: a deterministic mid-sweep kill.
   TestWorker dying(/*fail_after=*/1);
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {healthy.endpoint(), dying.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote =
         run_on(lane, cells, plan, {.batch_size = 1}).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
@@ -151,16 +158,16 @@ TEST(TcpLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   }
 }
 
-TEST(TcpLaneTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
+TEST(ConnectLaneTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
   const std::vector<Scenario> cells = mc_grid(31);
   const PlanFn plan = mc_plan();
 
   TestWorker dying(/*fail_after=*/1);
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {dying.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     // Without re-admission: the dead worker's listener is still bound (the
     // test object is in scope), so each revival attempt would connect and
     // then burn a full handshake timeout - the pre-refactor semantics of
@@ -187,7 +194,7 @@ TEST(TcpLaneTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
   }
 }
 
-TEST(TcpLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
+TEST(ConnectLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
   const std::vector<Scenario> cells = mc_grid(41);
   const PlanFn plan = mc_plan();
   ThreadLane local(1);
@@ -202,13 +209,12 @@ TEST(TcpLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
 
   TestWorker alive;
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {net::Endpoint{"127.0.0.1", dead_port},
                      alive.endpoint()};
     tcp.connect_retries = 0;  // fail the dead endpoint fast
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
-    EXPECT_EQ(lane.live(), 2u);  // before the first sweep: configured
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote = run_on(lane, cells, plan).outcomes;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
@@ -218,7 +224,7 @@ TEST(TcpLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
   }
 }
 
-TEST(TcpLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
+TEST(ConnectLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   // The accept-backlog fix: a daemon pool serves two sweeps at once, each
   // coordinator on its own session, and both print the reference bytes.
   PoolWorker w1(/*max_coordinators=*/2);
@@ -229,10 +235,10 @@ TEST(TcpLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
     const PlanFn plan = mc_plan();
     ThreadLane local(1);
     const auto reference = run_on(local, cells, plan).outcomes;
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {w1.endpoint(), w2.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote = run_on(lane, cells, plan).outcomes;
     if (remote.size() != cells.size()) {
       return false;
@@ -255,7 +261,7 @@ TEST(TcpLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   EXPECT_TRUE(second_ok);
 }
 
-TEST(TcpLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
+TEST(ConnectLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   PoolWorker worker(/*max_coordinators=*/1);
 
   net::FrameConn first(net::connect_to(worker.endpoint(), /*retries=*/5));
@@ -277,7 +283,7 @@ TEST(TcpLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   EXPECT_NE(r.str().find("max-coordinators"), std::string::npos);
 }
 
-TEST(TcpLaneTest, StealsStragglerTailAndStaysBitwise) {
+TEST(ConnectLaneTest, StealsStragglerTailAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(53);
   const PlanFn plan = mc_plan();
   ThreadLane local(1);
@@ -289,10 +295,10 @@ TEST(TcpLaneTest, StealsStragglerTailAndStaysBitwise) {
   // the fast worker must steal them to finish.
   TestWorker slow(/*fail_after=*/0, /*delay_ms=*/800);
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {fast.endpoint(), slow.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const DispatchOptions options{.batch_size = 1, .steal = true};
 
     // Sweep 1: the straggler holds its batch, the fast worker drains the
@@ -323,7 +329,7 @@ TEST(TcpLaneTest, StealsStragglerTailAndStaysBitwise) {
   }
 }
 
-TEST(TcpLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
+TEST(ConnectLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
   const std::vector<Scenario> cells = mc_grid(59);
   const PlanFn plan = mc_plan();
   ThreadLane local(1);
@@ -335,11 +341,11 @@ TEST(TcpLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
 
   TestWorker alive;
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {net::Endpoint{"127.0.0.1", hung.port()},
                      alive.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote =
         run_on(lane, cells, plan, {.handshake_timeout_ms = 300}).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
@@ -351,7 +357,7 @@ TEST(TcpLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
   }
 }
 
-TEST(TcpLaneTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
+TEST(ConnectLaneTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
   // The coordinator fingerprints the grid only when a worker handshakes.
   // A fake worker records the Hello it receives and acks with a stale
   // fingerprint, as a worker still answering another sweep would: the
@@ -387,11 +393,11 @@ TEST(TcpLaneTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
 
   TestWorker alive;
   {
-    net::TcpLaneOptions tcp;
+    fleet::RemoteLaneOptions tcp;
     tcp.endpoints = {net::Endpoint{"127.0.0.1", stale.port()},
                      alive.endpoint()};
     tcp.quiet = true;
-    net::TcpLane lane(std::move(tcp));
+    fleet::RemoteLane lane(std::move(tcp));
     const auto remote = run_on(lane, cells, plan).outcomes;
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -404,6 +410,48 @@ TEST(TcpLaneTest, HelloCarriesGridFingerprintAndStaleEchoIsRefused) {
   EXPECT_EQ(received.fingerprint, grid_fingerprint(cells));
   EXPECT_EQ(received.total_cells, cells.size());
   EXPECT_FALSE(got_work);
+}
+
+TEST(ConnectLaneTest, KeyedConnectMatchesInProcessBitwise) {
+  // Daemons running with --auth-key-file, named on a --connect list: a
+  // lane holding the key answers every HMAC challenge and prints the
+  // reference bytes; a keyless lane is refused at the handshake, never
+  // revived, and fails every cell instead of hanging.
+  const std::string key = "connect-key";
+  const std::vector<Scenario> cells = mc_grid(71);
+  const PlanFn plan = mc_plan();
+  ThreadLane local(1);
+  const auto reference = run_on(local, cells, plan).outcomes;
+
+  PoolWorker w1(/*max_coordinators=*/2, /*delay_ms=*/0, key);
+  PoolWorker w2(/*max_coordinators=*/2, /*delay_ms=*/0, key);
+  {
+    fleet::RemoteLaneOptions keyed;
+    keyed.endpoints = {w1.endpoint(), w2.endpoint()};
+    keyed.auth_key = key;
+    keyed.quiet = true;
+    fleet::RemoteLane lane(std::move(keyed));
+    const auto remote = run_on(lane, cells, plan).outcomes;
+    ASSERT_EQ(remote.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_TRUE(remote[i].ok()) << "cell " << i << ": " << remote[i].error;
+      EXPECT_EQ(remote[i].result, reference[i].result) << "cell " << i;
+    }
+    EXPECT_EQ(lane.live(), 2u);
+  }
+  {
+    fleet::RemoteLaneOptions keyless;
+    keyless.endpoints = {w1.endpoint(), w2.endpoint()};
+    keyless.quiet = true;
+    fleet::RemoteLane lane(std::move(keyless));
+    const auto remote = run_on(lane, cells, plan).outcomes;
+    ASSERT_EQ(remote.size(), cells.size());
+    for (const CellOutcome& outcome : remote) {
+      EXPECT_FALSE(outcome.ok());
+      EXPECT_EQ(outcome.error, "no worker remaining to evaluate this cell");
+    }
+    EXPECT_EQ(lane.live(), 0u);
+  }
 }
 
 TEST(WorkerHandshakeTest, RefusesWireVersionMismatch) {
